@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race bench bench-smoke bench-baseline benchgate mutate-smoke cover fuzz loadtest loadtest-smoke slogate slo-baseline dist-smoke
+.PHONY: tier1 build vet test race stress bench bench-smoke bench-baseline benchgate mutate-smoke cover fuzz loadtest loadtest-smoke slogate slo-baseline dist-smoke
 
 # tier1 is the gate every change must pass: clean build, vet, and the full
 # test suite. The race detector runs as its own CI job (`make race`) so a
@@ -23,6 +23,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress repeats the memoize-and-coalesce tests many times in fresh
+# iterations: flight.Cache must run exactly one build per key however its
+# callers interleave, and bench's session must simulate each cell once.
+stress:
+	$(GO) test -race -count=200 -run Cache ./internal/flight
+	$(GO) test -count=100 -run Singleflight ./internal/bench
 
 # bench runs the host-parallelism benchmarks (Prepare and engine.Run with
 # Workers=1 vs all CPUs). Speedup requires a multi-core host. BENCHTIME=1x

@@ -8,6 +8,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
@@ -89,34 +90,28 @@ func (c Config) withDefaults() Config {
 }
 
 // Session caches datasets, preprocessing and runs across figure runners.
+// Each cache coalesces concurrent callers of one key into a single build
+// (flight.Cache), so every dataset, prep and cell is produced exactly once.
 type Session struct {
 	cfg Config
 
-	mu        sync.Mutex
-	data      map[string]*hypergraph.Bipartite
-	preps     map[string]*engine.Prep
-	runs      map[string]*engine.Result
-	shardRuns map[string]*shard.Result
-	// inflight and shardInflight coalesce concurrent duplicate cells: the
-	// first caller of a key simulates it, duplicates wait and share the
-	// result (internal/flight grew out of this cache's original coalescer).
-	inflight      *flight.Group[*engine.Result]
-	shardInflight *flight.Group[*shard.Result]
-	sem           chan struct{}
+	data      *flight.Cache[*hypergraph.Bipartite]
+	preps     *flight.Cache[*engine.Prep]
+	runs      *flight.Cache[*engine.Result]
+	shardRuns *flight.Cache[*shard.Result]
+	sem       chan struct{}
 }
 
 // NewSession builds a session.
 func NewSession(cfg Config) *Session {
 	cfg = cfg.withDefaults()
 	return &Session{
-		cfg:           cfg,
-		data:          map[string]*hypergraph.Bipartite{},
-		preps:         map[string]*engine.Prep{},
-		runs:          map[string]*engine.Result{},
-		shardRuns:     map[string]*shard.Result{},
-		inflight:      flight.NewGroup[*engine.Result](),
-		shardInflight: flight.NewGroup[*shard.Result](),
-		sem:           make(chan struct{}, cfg.Parallel),
+		cfg:       cfg,
+		data:      flight.NewCache[*hypergraph.Bipartite](),
+		preps:     flight.NewCache[*engine.Prep](),
+		runs:      flight.NewCache[*engine.Result](),
+		shardRuns: flight.NewCache[*shard.Result](),
+		sem:       make(chan struct{}, cfg.Parallel),
 	}
 }
 
@@ -126,30 +121,52 @@ func (s *Session) Metrics() *obs.SessionMetrics { return s.cfg.Metrics }
 // Cfg returns the session configuration (with defaults applied).
 func (s *Session) Cfg() Config { return s.cfg }
 
+// get returns key's value from c, building it on a miss; bench cells have
+// no recovery path, so a failed build panics.
+func get[V any](c *flight.Cache[V], key string, build func() (V, error)) V {
+	v, _, err := c.Get(context.Background(), key, func(context.Context) (V, error) { return build() })
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s: %v", key, err))
+	}
+	return v
+}
+
+// reorderedPrefix names the reordered variant of a dataset (Figure 24).
+const reorderedPrefix = "reordered/"
+
 // Dataset loads (and caches) a named dataset at the session scale. Graph
-// datasets (AZ, PK) are recognized by name.
+// datasets (AZ, PK) are recognized by name; "reordered/<name>" is the
+// vertex-reordered variant of <name>.
 func (s *Session) Dataset(name string) *hypergraph.Bipartite {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g, ok := s.data[name]; ok {
-		return g
-	}
-	var g *hypergraph.Bipartite
-	if isGraph(name) {
-		g = gen.MustLoadGraph(name, s.cfg.Scale)
-	} else {
-		g = gen.MustLoad(name, s.cfg.Scale)
-	}
-	if s.cfg.Compressed {
-		g = g.Compress()
-	}
-	s.data[name] = g
-	if s.cfg.Metrics != nil {
-		// Each dataset feeds the session footprint exactly once, on first
-		// load (the cache above makes later calls hits).
-		s.cfg.Metrics.RecordDatasetFootprint(g.AdjacencyBytes(), g.NumBipartiteEdges())
-	}
-	return g
+	return get(s.data, name, func() (*hypergraph.Bipartite, error) {
+		if base, ok := strings.CutPrefix(name, reorderedPrefix); ok {
+			g, err := reorderVertices(s.Dataset(base))
+			if err != nil {
+				return nil, err
+			}
+			if s.cfg.Compressed {
+				// Derived variants keep the session representation (but are
+				// not re-counted in the dataset footprint totals).
+				g = g.Compress()
+			}
+			return g, nil
+		}
+		var g *hypergraph.Bipartite
+		if isGraph(name) {
+			g = gen.MustLoadGraph(name, s.cfg.Scale)
+		} else {
+			g = gen.MustLoad(name, s.cfg.Scale)
+		}
+		if s.cfg.Compressed {
+			g = g.Compress()
+		}
+		if s.cfg.Metrics != nil {
+			// Each dataset feeds the session footprint exactly once: this
+			// build runs once per name.
+			s.cfg.Metrics.RecordDatasetFootprint(g.AdjacencyBytes(), g.NumBipartiteEdges())
+		}
+		return g, nil
+	})
 }
 
 func isGraph(name string) bool {
@@ -164,23 +181,13 @@ func isGraph(name string) bool {
 // Prep returns the cached chunking+OAG preprocessing for a dataset under the
 // given wMin at the session core count.
 func (s *Session) Prep(name string, wMin uint32) *engine.Prep {
-	return s.prepCores(name, wMin, s.cfg.Cores)
+	return s.prep(name, wMin, s.cfg.Cores)
 }
 
-func (s *Session) prepCores(name string, wMin uint32, cores int) *engine.Prep {
-	g := s.Dataset(name)
-	key := fmt.Sprintf("%s/w%d/c%d", name, wMin, cores)
-	s.mu.Lock()
-	if p, ok := s.preps[key]; ok {
-		s.mu.Unlock()
-		return p
-	}
-	s.mu.Unlock()
-	p := engine.PrepareParallel(g, cores, wMin, s.cfg.Workers)
-	s.mu.Lock()
-	s.preps[key] = p
-	s.mu.Unlock()
-	return p
+func (s *Session) prep(name string, wMin uint32, cores int) *engine.Prep {
+	return get(s.preps, fmt.Sprintf("%s/w%d/c%d", name, wMin, cores), func() (*engine.Prep, error) {
+		return engine.PrepareParallel(s.Dataset(name), cores, wMin, s.cfg.Workers), nil
+	})
 }
 
 // RunSpec identifies one simulated cell.
@@ -189,12 +196,11 @@ type RunSpec struct {
 	Algo    string
 	Kind    engine.Kind
 	// Opt tweaks beyond session defaults; fields left zero use defaults.
-	DMax       int
-	WMin       uint32
-	Sys        *system.Config
-	Charge     bool // include preprocessing time
-	NoPrepOAGs bool // skip OAG prep (non-chain engines)
-	Reordered  bool // run on the reordered dataset (Figure 24)
+	DMax      int
+	WMin      uint32
+	Sys       *system.Config
+	Charge    bool // include preprocessing time
+	Reordered bool // run on the reordered dataset (Figure 24)
 	// Shards > 1 runs the cell sharded (internal/shard) under ShardPolicy
 	// (empty = range); each shard preps its own sub-hypergraph, so the
 	// session prep cache is bypassed.
@@ -202,20 +208,33 @@ type RunSpec struct {
 	ShardPolicy shard.Policy
 }
 
-func (rs RunSpec) key() string {
-	sys := ""
-	if rs.Sys != nil {
-		sys = fmt.Sprintf("/llc%d/cores%d/l1-%d/l2-%d", rs.Sys.TotalLLCBytes(), rs.Sys.Cores, rs.Sys.L1.SizeBytes, rs.Sys.L2.SizeBytes)
+// resolve applies the session defaults: WMin 0 is 3 and a nil Sys is the
+// session system, so specs that run the same simulation share a key.
+func (s *Session) resolve(rs RunSpec) RunSpec {
+	if rs.WMin == 0 {
+		rs.WMin = 3
 	}
+	sys := s.cfg.Sys
+	if rs.Sys != nil {
+		sys = *rs.Sys
+	}
+	rs.Sys = &sys
+	if rs.Shards > 1 && rs.ShardPolicy == "" {
+		rs.ShardPolicy = shard.PolicyRange
+	}
+	return rs
+}
+
+// key identifies a resolved spec's result. The system config enters as a
+// digest of every field, so specs differing anywhere in it never collide.
+func (rs RunSpec) key() string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", *rs.Sys)
 	shards := ""
 	if rs.Shards > 1 {
-		pol := rs.ShardPolicy
-		if pol == "" {
-			pol = shard.PolicyRange
-		}
-		shards = fmt.Sprintf("/k%d/%s", rs.Shards, pol)
+		shards = fmt.Sprintf("/k%d/%s", rs.Shards, rs.ShardPolicy)
 	}
-	return fmt.Sprintf("%s/%s/%v/d%d/w%d/ch%v/re%v%s%s", rs.Dataset, rs.Algo, rs.Kind, rs.DMax, rs.WMin, rs.Charge, rs.Reordered, sys, shards)
+	return fmt.Sprintf("%s/%s/%v/d%d/w%d/ch%v/re%v/sys%016x%s", rs.Dataset, rs.Algo, rs.Kind, rs.DMax, rs.WMin, rs.Charge, rs.Reordered, h.Sum64(), shards)
 }
 
 // Run simulates one cell (cached). Concurrent callers with the same key
@@ -225,94 +244,40 @@ func (s *Session) Run(rs RunSpec) *engine.Result {
 	if rs.Shards > 1 {
 		return s.RunSharded(rs).Result
 	}
-	key := rs.key()
-	s.mu.Lock()
-	if r, ok := s.runs[key]; ok {
-		s.mu.Unlock()
-		return r
-	}
-	s.mu.Unlock()
-
-	res, err, _ := s.inflight.Do(context.Background(), key, func(ctx context.Context) (*engine.Result, error) {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-
-		g := s.Dataset(rs.Dataset)
-		wMin := rs.WMin
-		if wMin == 0 {
-			wMin = 3
-		}
-		sys := s.cfg.Sys
-		if rs.Sys != nil {
-			sys = *rs.Sys
-		}
-		var prep *engine.Prep
+	rs = s.resolve(rs)
+	return simulate(s, s.runs, rs, func(opt engine.Options, alg algorithms.Algorithm) (*engine.Result, error) {
+		name := rs.Dataset
 		if rs.Reordered {
-			g = s.reordered(rs.Dataset)
-			prep = s.prepFor("reordered/"+rs.Dataset, g, wMin, sys.Cores)
-		} else if needsChains(rs.Kind) {
-			prep = s.prepCores(rs.Dataset, wMin, sys.Cores)
+			name = reorderedPrefix + name
 		}
-		alg, ok := algorithms.ByName(rs.Algo)
-		if !ok {
-			return nil, fmt.Errorf("unknown algorithm %s", rs.Algo)
+		if rs.Reordered || needsChains(rs.Kind) {
+			opt.Prep = s.prep(name, rs.WMin, rs.Sys.Cores)
 		}
-		s.cfg.Log.Logf("run %s", key)
-		var ob obs.Observer
-		if s.cfg.Metrics != nil {
-			ob = s.cfg.Metrics.Observe(key)
-		}
-		if s.cfg.Log.Enabled(obs.LevelIteration) {
-			ob = obs.Multi(ob, s.cfg.Log)
-		}
-		res, err := engine.RunCtx(ctx, g, alg, engine.Options{
-			Kind: rs.Kind, Sys: sys, DMax: rs.DMax, WMin: wMin,
-			Prep: prep, ChargePreprocess: rs.Charge, Workers: s.cfg.Workers,
-			Observer: ob,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Publish before the flight key is forgotten so a caller arriving
-		// after the in-flight window always finds the cache populated.
-		s.mu.Lock()
-		s.runs[key] = res
-		s.mu.Unlock()
-		return res, nil
+		return engine.Run(s.Dataset(name), alg, opt)
 	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: %s: %v", key, err))
-	}
-	return res
 }
 
 // RunSharded simulates one cell through the shard coordinator (cached under
 // the same key space as Run; each shard preps its own sub-hypergraph).
 func (s *Session) RunSharded(rs RunSpec) *shard.Result {
-	key := rs.key()
-	s.mu.Lock()
-	if r, ok := s.shardRuns[key]; ok {
-		s.mu.Unlock()
-		return r
-	}
-	s.mu.Unlock()
+	rs = s.resolve(rs)
+	return simulate(s, s.shardRuns, rs, func(opt engine.Options, alg algorithms.Algorithm) (*shard.Result, error) {
+		return shard.Run(s.Dataset(rs.Dataset), alg, shard.Options{Shards: rs.Shards, Policy: rs.ShardPolicy, Engine: opt})
+	})
+}
 
-	res, err, _ := s.shardInflight.Do(context.Background(), key, func(ctx context.Context) (*shard.Result, error) {
+// simulate returns the resolved cell rs from c, running it on a miss under
+// the session's parallelism bound with the engine options and algorithm the
+// spec names and the session observer wired in.
+func simulate[R any](s *Session, c *flight.Cache[R], rs RunSpec, run func(engine.Options, algorithms.Algorithm) (R, error)) R {
+	key := rs.key()
+	return get(c, key, func() (R, error) {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
-
-		g := s.Dataset(rs.Dataset)
-		wMin := rs.WMin
-		if wMin == 0 {
-			wMin = 3
-		}
-		sys := s.cfg.Sys
-		if rs.Sys != nil {
-			sys = *rs.Sys
-		}
 		alg, ok := algorithms.ByName(rs.Algo)
 		if !ok {
-			return nil, fmt.Errorf("unknown algorithm %s", rs.Algo)
+			var zero R
+			return zero, fmt.Errorf("unknown algorithm %s", rs.Algo)
 		}
 		s.cfg.Log.Logf("run %s", key)
 		var ob obs.Observer
@@ -322,26 +287,11 @@ func (s *Session) RunSharded(rs RunSpec) *shard.Result {
 		if s.cfg.Log.Enabled(obs.LevelIteration) {
 			ob = obs.Multi(ob, s.cfg.Log)
 		}
-		res, err := shard.RunCtx(ctx, g, alg, shard.Options{
-			Shards: rs.Shards, Policy: rs.ShardPolicy,
-			Engine: engine.Options{
-				Kind: rs.Kind, Sys: sys, DMax: rs.DMax, WMin: wMin,
-				ChargePreprocess: rs.Charge, Workers: s.cfg.Workers,
-				Observer: ob,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.shardRuns[key] = res
-		s.mu.Unlock()
-		return res, nil
+		return run(engine.Options{
+			Kind: rs.Kind, Sys: *rs.Sys, DMax: rs.DMax, WMin: rs.WMin,
+			ChargePreprocess: rs.Charge, Workers: s.cfg.Workers, Observer: ob,
+		}, alg)
 	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: %s: %v", key, err))
-	}
-	return res
 }
 
 func needsChains(k engine.Kind) bool {
@@ -361,46 +311,6 @@ func (s *Session) RunAll(specs []RunSpec) []*engine.Result {
 	}
 	wg.Wait()
 	return out
-}
-
-// reordered returns the cached reordered variant of a dataset.
-func (s *Session) reordered(name string) *hypergraph.Bipartite {
-	key := "reordered/" + name
-	s.mu.Lock()
-	if g, ok := s.data[key]; ok {
-		s.mu.Unlock()
-		return g
-	}
-	s.mu.Unlock()
-	g := s.Dataset(name)
-	res, err := reorderVertices(g)
-	if err != nil {
-		panic(err)
-	}
-	if s.cfg.Compressed {
-		// Derived variants keep the session representation (but are not
-		// re-counted in the dataset footprint totals).
-		res = res.Compress()
-	}
-	s.mu.Lock()
-	s.data[key] = res
-	s.mu.Unlock()
-	return res
-}
-
-func (s *Session) prepFor(key string, g *hypergraph.Bipartite, wMin uint32, cores int) *engine.Prep {
-	k := fmt.Sprintf("%s/w%d/c%d", key, wMin, cores)
-	s.mu.Lock()
-	if p, ok := s.preps[k]; ok {
-		s.mu.Unlock()
-		return p
-	}
-	s.mu.Unlock()
-	p := engine.PrepareParallel(g, cores, wMin, s.cfg.Workers)
-	s.mu.Lock()
-	s.preps[k] = p
-	s.mu.Unlock()
-	return p
 }
 
 // Table is one reproduced result, printable as aligned text.

@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"chgraph/internal/engine"
+	"chgraph/internal/sim/system"
 )
 
 func tinySession() *Session {
@@ -88,6 +91,43 @@ func TestSimulatedRunnersSmoke(t *testing.T) {
 		tab := r.Run(s)
 		if len(tab.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
+		}
+	}
+}
+
+// TestRunSpecKey pins the cell key to the resolved spec: every field of the
+// system config shapes results and must change the key, while spellings of
+// the session defaults (nil Sys, WMin 0) must not.
+func TestRunSpecKey(t *testing.T) {
+	s := tinySession()
+	base := RunSpec{Dataset: "FS", Algo: "BFS", Kind: engine.ChGraph}
+	sys := func(mut func(*system.Config)) func(*RunSpec) {
+		return func(rs *RunSpec) {
+			c := s.Cfg().Sys
+			mut(&c)
+			rs.Sys = &c
+		}
+	}
+	cases := []struct {
+		name string
+		mut  func(*RunSpec)
+		same bool
+	}{
+		{"explicit session sys", sys(func(*system.Config) {}), true},
+		{"explicit default wmin", func(rs *RunSpec) { rs.WMin = 3 }, true},
+		{"L1 latency", sys(func(c *system.Config) { c.L1.Latency++ }), false},
+		{"L2 ways", sys(func(c *system.Config) { c.L2.Ways *= 2 }), false},
+		{"mesh", sys(func(c *system.Config) { c.Mesh.LinkCycles++ }), false},
+		{"memory", sys(func(c *system.Config) { c.Mem.LatencyCycles++ }), false},
+		{"MLP", sys(func(c *system.Config) { c.CoreMLP++ }), false},
+		{"wmin", func(rs *RunSpec) { rs.WMin = 4 }, false},
+	}
+	want := s.resolve(base).key()
+	for _, c := range cases {
+		rs := base
+		c.mut(&rs)
+		if got := s.resolve(rs).key(); (got == want) != c.same {
+			t.Errorf("%s: key %q vs base %q, same=%v want %v", c.name, got, want, got == want, c.same)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestRunSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a distinct result pointer: duplicate simulation", i)
 		}
 	}
-	if n := metrics.Runs(spec.key()); n != 1 {
+	if n := metrics.Runs(s.resolve(spec).key()); n != 1 {
 		t.Fatalf("engine.Run executed %d times for one key, want exactly 1", n)
 	}
 
@@ -53,7 +53,7 @@ func TestRunSingleflight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := metrics.Runs(spec.key()); n != 1 {
+	if n := metrics.Runs(s.resolve(spec).key()); n != 1 {
 		t.Fatalf("cache hit re-ran the cell: %d runs recorded, want 1", n)
 	}
 }
@@ -88,8 +88,8 @@ func TestRunSingleflightManyKeys(t *testing.T) {
 	}
 	wg.Wait()
 	for _, spec := range specs {
-		if n := metrics.Runs(spec.key()); n != 1 {
-			t.Fatalf("%s simulated %d times, want 1", spec.key(), n)
+		if n := metrics.Runs(s.resolve(spec).key()); n != 1 {
+			t.Fatalf("%s simulated %d times, want 1", s.resolve(spec).key(), n)
 		}
 	}
 }

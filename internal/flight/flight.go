@@ -13,9 +13,10 @@
 //     abandoned work stops (the engine observes it at phase boundaries)
 //     while work that still has an audience runs to completion.
 //
-// Completed calls are forgotten immediately — flight dedups in-flight work
-// only; result caching is the caller's business (bench's run cache, serve's
-// artifact LRU sit above it).
+// Group forgets a completed call immediately — it dedups in-flight work
+// only (serve's /run coalescing). Cache is the memoizing form built on the
+// same calls: it publishes each successful result before the call is
+// forgotten, so no caller can slip between the two and build again.
 package flight
 
 import (
@@ -58,20 +59,34 @@ func NewGroup[V any]() *Group[V] {
 // must not crash the process on behalf of callers who can handle failure).
 func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (v V, err error, shared bool) {
 	g.mu.Lock()
-	c, ok := g.calls[key]
-	if ok {
-		c.waiters++
-	} else {
-		callCtx, cancel := context.WithCancel(context.Background())
-		c = &call[V]{cancel: cancel, waiters: 1, done: make(chan struct{})}
-		g.calls[key] = c
-		go g.run(key, c, callCtx, fn)
-	}
+	c, shared := g.joinLocked(key, fn, nil)
 	g.mu.Unlock()
+	v, err = g.wait(ctx, c)
+	return v, err, shared
+}
 
+// joinLocked joins key's in-flight call or starts one running fn; joined
+// reports the former. publish, if non-nil, runs under g.mu with a
+// successful result just before the finished call is forgotten. g.mu must
+// be held.
+func (g *Group[V]) joinLocked(key string, fn func(context.Context) (V, error), publish func(string, V)) (c *call[V], joined bool) {
+	if c, ok := g.calls[key]; ok {
+		c.waiters++
+		return c, true
+	}
+	callCtx, cancel := context.WithCancel(context.Background())
+	c = &call[V]{cancel: cancel, waiters: 1, done: make(chan struct{})}
+	g.calls[key] = c
+	go g.run(key, c, callCtx, fn, publish)
+	return c, false
+}
+
+// wait blocks until c finishes or ctx ends, detaching (and cancelling the
+// call once no waiter is left) in the latter case.
+func (g *Group[V]) wait(ctx context.Context, c *call[V]) (V, error) {
 	select {
 	case <-c.done:
-		return c.val, c.err, ok
+		return c.val, c.err
 	case <-ctx.Done():
 		g.mu.Lock()
 		select {
@@ -79,7 +94,7 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 			// The result landed while we were acquiring the lock; take it
 			// rather than discarding finished work.
 			g.mu.Unlock()
-			return c.val, c.err, ok
+			return c.val, c.err
 		default:
 		}
 		c.waiters--
@@ -88,17 +103,20 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 		}
 		g.mu.Unlock()
 		var zero V
-		return zero, ctx.Err(), ok
+		return zero, ctx.Err()
 	}
 }
 
 // run executes one call and publishes its outcome.
-func (g *Group[V]) run(key string, c *call[V], ctx context.Context, fn func(context.Context) (V, error)) {
+func (g *Group[V]) run(key string, c *call[V], ctx context.Context, fn func(context.Context) (V, error), publish func(string, V)) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.err = fmt.Errorf("flight: panic in call %q: %v", key, r)
 		}
 		g.mu.Lock()
+		if c.err == nil && publish != nil {
+			publish(key, c.val)
+		}
 		delete(g.calls, key)
 		g.mu.Unlock()
 		close(c.done)

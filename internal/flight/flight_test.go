@@ -36,8 +36,9 @@ func TestDoCoalesces(t *testing.T) {
 			vals[i], shareds[i] = v, shared
 		}(i)
 	}
-	// Wait until the call is registered, then release it.
-	for g.Inflight() == 0 {
+	// Wait until every caller has joined the call, then release it: a caller
+	// arriving after the call completed would rightly start a new one.
+	for waiters(g, "k") < callers {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -61,6 +62,16 @@ func TestDoCoalesces(t *testing.T) {
 	if g.Inflight() != 0 {
 		t.Fatalf("call not forgotten after completion")
 	}
+}
+
+// waiters reports how many callers are attached to key's in-flight call.
+func waiters[V any](g *Group[V], key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.waiters
+	}
+	return 0
 }
 
 // TestDoErrorShared delivers fn's error to every waiter and forgets the key

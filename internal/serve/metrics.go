@@ -27,7 +27,6 @@ type metrics struct {
 	cacheMisses    atomic.Uint64 // flight leaders only: lookups that ran a build
 	cacheCoalesced atomic.Uint64 // waiters that joined a leader's in-flight build
 	cacheBuilds    atomic.Uint64 // artifact builds actually executed
-	cacheEvictions atomic.Uint64
 
 	mutations         atomic.Uint64 // /mutate batches applied
 	mutationsFailed   atomic.Uint64 // /mutate 4xx/5xx after decoding
@@ -124,7 +123,6 @@ func (m *metrics) snapshot() Snapshot {
 		CacheMisses:    m.cacheMisses.Load(),
 		CacheCoalesced: m.cacheCoalesced.Load(),
 		CacheBuilds:    m.cacheBuilds.Load(),
-		CacheEvictions: m.cacheEvictions.Load(),
 
 		Mutations:         m.mutations.Load(),
 		MutationsFailed:   m.mutationsFailed.Load(),

@@ -250,7 +250,7 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if old != nil {
-		s.cache.purgePrefix(regPurgePrefix(tenant, name))
+		s.cache.Purge(regPurgePrefix(tenant, name))
 	}
 	s.met.uploads.Add(1)
 	tn.completed.Add(1)
@@ -308,7 +308,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("dataset %s/%s not registered", tenant, name), http.StatusNotFound)
 		return
 	}
-	purged := s.cache.purgePrefix(regPurgePrefix(tenant, name))
+	purged := s.cache.Purge(regPurgePrefix(tenant, name))
 	s.met.evictionsReg.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{

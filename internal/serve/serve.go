@@ -219,7 +219,7 @@ var errBadSpec = errors.New("bad request spec")
 type Server struct {
 	opt      Options
 	mux      *http.ServeMux
-	cache    *prepCache
+	cache    *flight.Cache[*artifact]
 	runs     *flight.Group[*runOutcome]
 	tenants  *tenants
 	registry *registry
@@ -246,12 +246,12 @@ func NewServer(opt Options) *Server {
 		opt:      opt,
 		mux:      http.NewServeMux(),
 		runs:     flight.NewGroup[*runOutcome](),
+		cache:    flight.NewLRU(opt.CacheEntries, (*artifact).mutated),
 		tenants:  newTenants(opt.Limits, opt.LimitOverrides),
 		registry: newRegistry(),
 		queue:    make(chan struct{}, opt.QueueDepth),
 		workers:  make(chan struct{}, opt.Workers),
 	}
-	s.cache = newPrepCache(opt.CacheEntries, &s.met)
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/mutate", s.handleMutate)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -271,7 +271,8 @@ func (s *Server) Metrics() Snapshot {
 	snap := s.met.snapshot()
 	snap.QueueDepth = len(s.queue)
 	snap.QueueCapacity = cap(s.queue)
-	snap.CacheEntries = s.cache.len()
+	snap.CacheEntries = s.cache.Len()
+	snap.CacheEvictions = s.cache.Evictions()
 	snap.CacheCapacity = s.opt.CacheEntries
 	snap.RegistryDatasets, snap.RegistryBytes = s.registry.totals()
 	snap.Tenants = s.snapshotTenants()
@@ -417,7 +418,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// cache lookup inside execute only shifts which version the whole
 	// coalesced group observes — every sharer still gets one consistent
 	// artifact, and the response reports the generation actually run.
-	flightKey := fmt.Sprintf("%s/g%d", req.runKeyFor(ref.key), s.cache.peekGen(req.prepKeyFor(ref.key)))
+	var gen uint64
+	if art, ok := s.cache.Peek(req.prepKeyFor(ref.key)); ok {
+		gen = art.gen
+	}
+	flightKey := fmt.Sprintf("%s/g%d", req.runKeyFor(ref.key), gen)
 	out, err, shared := s.runs.Do(r.Context(), flightKey, func(ctx context.Context) (*runOutcome, error) {
 		return s.execute(ctx, req, ref)
 	})
@@ -604,7 +609,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	defer s.mutateMu.Unlock()
 
 	key := spec.prepKeyFor(ref.key)
-	art, ok := s.cache.peek(key)
+	art, ok := s.cache.Peek(key)
 	if !ok {
 		cfg, err := config(spec)
 		if err != nil {
@@ -612,17 +617,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if art, _, err = s.cache.get(r.Context(), key, func(bctx context.Context) (*artifact, error) {
-			return buildArtifact(bctx, spec, ref, cfg)
+		if art, _, err = s.prep(r.Context(), key, func(bctx context.Context) (*artifact, error) {
+			return s.buildArtifact(bctx, spec, ref, cfg)
 		}); err != nil {
 			s.met.mutationsFailed.Add(1)
 			writeError(w, classify(err))
 			return
-		}
-		// A /run build racing ours may own the canonical entry (add keeps
-		// the first artifact); mutate from the canonical pointer.
-		if canonical, ok := s.cache.peek(key); ok {
-			art = canonical
 		}
 	}
 
@@ -639,7 +639,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.cache.swap(key, &artifact{g: ng, pre: npre, gen: npre.Generation()})
+	s.cache.Put(key, &artifact{g: ng, pre: npre, gen: npre.Generation()})
 	s.met.mutations.Add(1)
 	s.met.hyperedgesAdded.Add(uint64(len(req.Add)))
 	s.met.hyperedgesRemoved.Add(uint64(len(req.Remove)))
@@ -734,8 +734,8 @@ func (s *Server) execute(ctx context.Context, req RunRequest, ref dsRef) (*runOu
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadSpec, err)
 	}
-	art, hit, err := s.cache.get(ctx, req.prepKeyFor(ref.key), func(bctx context.Context) (*artifact, error) {
-		return buildArtifact(bctx, req, ref, cfg)
+	art, hit, err := s.prep(ctx, req.prepKeyFor(ref.key), func(bctx context.Context) (*artifact, error) {
+		return s.buildArtifact(bctx, req, ref, cfg)
 	})
 	if err != nil {
 		return nil, classify(err)
@@ -766,12 +766,51 @@ func (s *Server) execute(ctx context.Context, req RunRequest, ref dsRef) (*runOu
 	}, nil
 }
 
+// artifact is one prepared-cache entry: the loaded hypergraph and the
+// preprocessing bundle built from it. Prepared validates pointer identity
+// against the hypergraph it was built from, so the two must travel together.
+// Both are immutable and safe to hand to any number of concurrent runs —
+// eviction never invalidates an artifact a run is still holding, and
+// mutation never modifies one: POST /mutate puts a freshly derived
+// (hypergraph, Prepared) pair into the cache (copy-on-write versioning), so
+// runs that already resolved the old pair finish on it undisturbed.
+type artifact struct {
+	g   *chgraph.Hypergraph
+	pre *chgraph.Prepared
+	// gen echoes pre.Generation(): 0 for a from-scratch build, +1 per
+	// applied mutation batch.
+	gen uint64
+}
+
+// mutated is the cache's eviction preference: a rebuilt unmutated spec is
+// identical to what was evicted, while evicting a mutated artifact loses its
+// generations — the next build of that spec starts over at generation 0.
+func (a *artifact) mutated() bool { return a.gen > 0 }
+
+// prep resolves key's artifact through the cache, building it on a miss,
+// and counts the lookup: a hit, the one miss that ran the build, or a
+// coalesced waiter that joined it. hit is true only for the first.
+func (s *Server) prep(ctx context.Context, key string, build func(context.Context) (*artifact, error)) (art *artifact, hit bool, err error) {
+	art, out, err := s.cache.Get(ctx, key, build)
+	switch out {
+	case flight.Hit:
+		s.met.cacheHits.Add(1)
+	case flight.Built:
+		s.met.cacheMisses.Add(1)
+	case flight.Joined:
+		s.met.cacheCoalesced.Add(1)
+	}
+	return art, out == flight.Hit, err
+}
+
 // buildArtifact loads (or takes, for registered datasets) the hypergraph
-// and builds its prepared bundle — the cache-miss path. A registered
-// dataset's contents are pinned at resolve time: if the upload is replaced
-// or deleted mid-build, this build still completes against the contents the
-// request resolved, under a key no future request will look up.
-func buildArtifact(ctx context.Context, req RunRequest, ref dsRef, cfg chgraph.RunConfig) (*artifact, error) {
+// and builds its prepared bundle — the cache-miss path, counted in
+// cache_builds. A registered dataset's contents are pinned at resolve time:
+// if the upload is replaced or deleted mid-build, this build still completes
+// against the contents the request resolved, under a key no future request
+// will look up.
+func (s *Server) buildArtifact(ctx context.Context, req RunRequest, ref dsRef, cfg chgraph.RunConfig) (*artifact, error) {
+	s.met.cacheBuilds.Add(1)
 	g := ref.g
 	if g == nil {
 		var err error

@@ -158,6 +158,54 @@ func TestServeCacheSteadyState(t *testing.T) {
 	}
 }
 
+// TestServeColdPrepSharedAcrossAlgorithms races cold /runs of distinct
+// algorithms and engines that share one prep key: each is its own run
+// leader and looks the artifact up once, and exactly one build serves all
+// of them. Every lookup is accounted for as a hit, the miss, or a
+// coalesced wait.
+func TestServeColdPrepSharedAcrossAlgorithms(t *testing.T) {
+	srv := NewServer(Options{QueueDepth: 64, Workers: 16})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var reqs []RunRequest
+	for _, algo := range []string{"BFS", "PR", "CC", "MIS", "BC", "k-core"} {
+		for _, eng := range []string{"hygra", "chgraph"} {
+			reqs = append(reqs, RunRequest{Dataset: "OK", Scale: 0.02, Algorithm: algo, Engine: eng, Cores: 4, Iterations: 2})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, req := range reqs {
+		wg.Add(1)
+		go func(req RunRequest) {
+			defer wg.Done()
+			if code, _ := postRun(t, ts.URL, req); code != http.StatusOK {
+				t.Errorf("%s/%s: status %d", req.Algorithm, req.Engine, code)
+			}
+		}(req)
+	}
+	wg.Wait()
+
+	snap := srv.Metrics()
+	if snap.CacheBuilds != 1 || snap.CacheMisses != 1 {
+		t.Fatalf("builds %d misses %d, want 1/1", snap.CacheBuilds, snap.CacheMisses)
+	}
+	// Distinct run keys never coalesce at /run, so every request led its
+	// own execution and made exactly one prep lookup.
+	lookups := snap.Completed - snap.Coalesced
+	if lookups != uint64(len(reqs)) {
+		t.Fatalf("completed %d coalesced %d, want %d run leaders", snap.Completed, snap.Coalesced, len(reqs))
+	}
+	if got := snap.CacheHits + snap.CacheMisses + snap.CacheCoalesced; got != lookups {
+		t.Fatalf("hits %d + misses %d + coalesced %d = %d, want %d lookups",
+			snap.CacheHits, snap.CacheMisses, snap.CacheCoalesced, got, lookups)
+	}
+	wantRatio := float64(snap.CacheHits+snap.CacheCoalesced) / float64(lookups)
+	if snap.CacheHitRatio != wantRatio {
+		t.Fatalf("hit ratio %v, want %v (coalesced waiters are hit-like)", snap.CacheHitRatio, wantRatio)
+	}
+}
+
 func TestServeShardedRun(t *testing.T) {
 	srv := NewServer(Options{})
 	ts := httptest.NewServer(srv)
