@@ -339,11 +339,9 @@ type RunConfig struct {
 // steady-state serving cache amortizes.
 type Prepared struct {
 	b      *hypergraph.Bipartite
-	cores  int
-	wMin   uint32
-	prep   *engine.Prep    // unsharded artifacts (nil for sharded specs)
+	key    string          // prep key of the spec it was built for
 	shards int             // >1 when prepared for a sharded spec
-	policy shard.Policy    // sharded only
+	prep   *engine.Prep    // unsharded artifacts (nil for sharded specs)
 	sh     *shard.Prepared // sharded artifacts
 
 	// generation counts the Apply steps since the from-scratch Prepare that
@@ -387,11 +385,7 @@ func (p *Prepared) Apply(ctx context.Context, batch Batch) (*Hypergraph, *Prepar
 	if err != nil {
 		return nil, nil, err
 	}
-	np := &Prepared{
-		b: d.New, cores: p.cores, wMin: p.wMin,
-		shards: p.shards, policy: p.policy,
-		generation: p.generation + 1,
-	}
+	np := &Prepared{b: d.New, key: p.key, shards: p.shards, generation: p.generation + 1}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -416,37 +410,55 @@ func Prepare(ctx context.Context, g *Hypergraph, cfg RunConfig) (*Prepared, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	eopt := prepOptions(cfg)
+	s, err := cfg.resolvePrep()
+	if err != nil {
+		return nil, err
+	}
 	b := g.runGraph(cfg.Compressed)
-	p := &Prepared{b: b, cores: eopt.Sys.Cores, wMin: eopt.WMin}
-	if cfg.Shards > 1 {
-		pol := shard.PolicyRange
-		if cfg.ShardPolicy != "" {
-			var err error
-			if pol, err = shard.ParsePolicy(cfg.ShardPolicy); err != nil {
-				return nil, err
-			}
-		}
-		sh, err := shard.Prepare(ctx, b, shard.Options{
-			Shards: cfg.Shards, Policy: pol, CapFactor: cfg.ShardCapFactor,
-			Engine: eopt,
-		})
-		if err != nil {
+	p := &Prepared{b: b, key: s.prepKey(), shards: s.sopt.Shards}
+	if s.sopt.Shards > 1 {
+		if p.sh, err = shard.Prepare(ctx, b, s.sopt); err != nil {
 			return nil, err
 		}
-		p.shards, p.policy, p.sh = cfg.Shards, pol, sh
 		return p, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p.prep = engine.PrepareParallel(b, eopt.Sys.Cores, eopt.WMin, eopt.Workers)
+	p.prep = engine.PrepareParallel(b, s.eopt.Sys.Cores, s.eopt.WMin, s.eopt.Workers)
 	return p, nil
 }
 
-// prepOptions resolves the engine options a cfg-shaped run executes under
-// (shared by Run and Prepare so prepared artifacts always match).
-func prepOptions(cfg RunConfig) engine.Options {
+// spec is a RunConfig resolved once, each default applied by the layer that
+// owns it: engine.Options.WithDefaults for the simulated system and chain
+// parameters, shard.Options.Resolve for the partition, and the algorithm's
+// own parameters. Run, Prepare and the exported keys all read this value, so
+// spellings of one run cannot drift apart.
+type spec struct {
+	eopt engine.Options
+	// sopt is the resolved partition; unsharded specs have Shards 1 and no
+	// policy (no partitioner runs, so any policy is equivalent).
+	sopt shard.Options
+	// alg is a fresh instance of the algorithm (nil for a preparation-only
+	// spec); the run key prints its parameters, so it names what runs.
+	alg algorithms.Algorithm
+}
+
+// prepKey names the artifact Prepare builds for s: the fields preprocessing
+// depends on, and nothing else. Engine kind, algorithm and D_max are absent —
+// one artifact serves them all.
+func (s spec) prepKey() string {
+	return fmt.Sprintf("c%d/w%d/k%d/%s/cap%g", s.eopt.Sys.Cores, s.eopt.WMin, s.sopt.Shards, s.sopt.Policy, s.sopt.CapFactor)
+}
+
+// runKey names the simulated result of s.
+func (s spec) runKey() string {
+	return fmt.Sprintf("%s%+v/%s/e%s", s.alg.Name(), s.alg, s.prepKey(), s.eopt.Key())
+}
+
+// resolvePrep resolves the engine options and the partition. DistWorkers
+// fixes the shard count at one shard per worker.
+func (cfg RunConfig) resolvePrep() (spec, error) {
 	sys := system.ScaledConfig()
 	if cfg.Cores > 0 {
 		sys.Cores = cfg.Cores
@@ -454,11 +466,87 @@ func prepOptions(cfg RunConfig) engine.Options {
 	if cfg.LLCBytes > 0 {
 		sys = sys.WithLLCBytes(cfg.LLCBytes)
 	}
-	return engine.Options{
+	s := spec{eopt: engine.Options{
 		Kind: cfg.Engine, Sys: sys, DMax: cfg.DMax, WMin: cfg.WMin,
 		ChargePreprocess: cfg.IncludePreprocessing, Workers: cfg.Workers,
 		Observer: cfg.Observer,
-	}.WithDefaults()
+	}.WithDefaults()}
+	k := cfg.Shards
+	if len(cfg.DistWorkers) > 0 {
+		k = len(cfg.DistWorkers)
+	}
+	s.sopt = shard.Options{Shards: 1, Engine: s.eopt}
+	if k > 1 {
+		var err error
+		s.sopt, err = shard.Options{
+			Shards: k, Policy: shard.Policy(cfg.ShardPolicy), CapFactor: cfg.ShardCapFactor,
+			Engine: s.eopt,
+		}.Resolve()
+		if err != nil {
+			return spec{}, err
+		}
+	}
+	return s, nil
+}
+
+// resolve is resolvePrep plus the algorithm: a fresh instance of the named
+// one, taking Source (BFS/BC/SSSP) or Iterations (PR/Adsorption, 0 meaning
+// 10) only where it reads them.
+func (cfg RunConfig) resolve(algorithm string) (spec, error) {
+	s, err := cfg.resolvePrep()
+	if err != nil {
+		return spec{}, err
+	}
+	it := cfg.Iterations
+	if it == 0 {
+		it = 10
+	}
+	switch algorithm {
+	case "BFS":
+		s.alg = algorithms.NewBFS(cfg.Source)
+	case "BC":
+		s.alg = algorithms.NewBC(cfg.Source)
+	case "SSSP":
+		s.alg = algorithms.NewSSSP(cfg.Source)
+	case "PR":
+		s.alg = algorithms.NewPageRank(it)
+	case "Adsorption":
+		s.alg = algorithms.NewAdsorption(it)
+	default:
+		var ok bool
+		if s.alg, ok = algorithms.ByName(algorithm); !ok {
+			return spec{}, fmt.Errorf("chgraph: unknown algorithm %q (have %v + %v)", algorithm, algorithms.HypergraphAlgos, algorithms.GraphAlgos)
+		}
+	}
+	return s, nil
+}
+
+// RunKey identifies the result of running algorithm on one hypergraph under
+// cfg. It is derived from the resolved configuration, so every spelling of a
+// default shares it (Engine zero and Hygra, Cores 0 and 16, Shards 0 and 1,
+// Iterations 0 and 10 for PR, a Source an algorithm never reads), while the
+// host-side fields — Workers, Observer, Prepared, Compressed, which leave
+// the Result bit-identical — never enter it. A non-nil error is the one Run
+// would return for cfg before touching the hypergraph.
+func (cfg RunConfig) RunKey(algorithm string) (string, error) {
+	s, err := cfg.resolve(algorithm)
+	if err != nil {
+		return "", err
+	}
+	return s.runKey(), nil
+}
+
+// PrepKey identifies the Prepared artifact cfg-shaped runs execute on: a run
+// accepts a Prepared built for its own hypergraph and representation exactly
+// when the two configurations have equal prep keys. Like RunKey it is derived from the
+// resolved configuration, and a non-nil error is the one Prepare would
+// return.
+func (cfg RunConfig) PrepKey() (string, error) {
+	s, err := cfg.resolvePrep()
+	if err != nil {
+		return "", err
+	}
+	return s.prepKey(), nil
 }
 
 // Observability layer (internal/obs re-exported): an Observer taps the
@@ -548,93 +636,47 @@ func Run(g *Hypergraph, algorithm string, cfg RunConfig) (*Result, error) {
 // workers and, for sharded runs, every shard's engine. A nil error
 // guarantees a Result bit-identical to an uncancelled Run.
 func RunContext(ctx context.Context, g *Hypergraph, algorithm string, cfg RunConfig) (*Result, error) {
-	var alg algorithms.Algorithm
-	switch algorithm {
-	case "BFS":
-		alg = algorithms.NewBFS(cfg.Source)
-	case "BC":
-		alg = algorithms.NewBC(cfg.Source)
-	case "SSSP":
-		alg = algorithms.NewSSSP(cfg.Source)
-	case "PR":
-		it := cfg.Iterations
-		if it == 0 {
-			it = 10
-		}
-		alg = algorithms.NewPageRank(it)
-	case "Adsorption":
-		it := cfg.Iterations
-		if it == 0 {
-			it = 10
-		}
-		alg = algorithms.NewAdsorption(it)
-	default:
-		var ok bool
-		alg, ok = algorithms.ByName(algorithm)
-		if !ok {
-			return nil, fmt.Errorf("chgraph: unknown algorithm %q (have %v + %v)", algorithm, algorithms.HypergraphAlgos, algorithms.GraphAlgos)
-		}
+	s, err := cfg.resolve(algorithm)
+	if err != nil {
+		return nil, err
 	}
-
-	eopt := prepOptions(cfg)
 	b := g.runGraph(cfg.Compressed)
-	if len(cfg.DistWorkers) > 0 && cfg.Prepared != nil {
-		return nil, fmt.Errorf("chgraph: Prepared artifacts are not supported with DistWorkers (each worker preps its own sub-hypergraph)")
-	}
 	if p := cfg.Prepared; p != nil {
+		if len(cfg.DistWorkers) > 0 {
+			return nil, fmt.Errorf("chgraph: Prepared artifacts are not supported with DistWorkers (each worker preps its own sub-hypergraph)")
+		}
 		if p.b != b {
 			return nil, fmt.Errorf("chgraph: Prepared was built for a different hypergraph or representation (check RunConfig.Compressed)")
 		}
-		if p.cores != eopt.Sys.Cores || p.wMin != eopt.WMin {
-			return nil, fmt.Errorf("chgraph: Prepared built for cores=%d/wMin=%d, run wants cores=%d/wMin=%d",
-				p.cores, p.wMin, eopt.Sys.Cores, eopt.WMin)
-		}
-		if (cfg.Shards > 1) != (p.shards > 1) {
-			return nil, fmt.Errorf("chgraph: Prepared built for %d shards, run wants %d", p.shards, cfg.Shards)
+		if want := s.prepKey(); p.key != want {
+			return nil, fmt.Errorf("chgraph: Prepared built for %s, run wants %s", p.key, want)
 		}
 	}
 	var (
 		res  *engine.Result
 		sres *shard.Result
-		err  error
 	)
-	if len(cfg.DistWorkers) > 0 {
-		var pol shard.Policy
-		if cfg.ShardPolicy != "" {
-			if pol, err = shard.ParsePolicy(cfg.ShardPolicy); err != nil {
-				return nil, err
-			}
-		}
-		sres, err = dist.RunCtx(ctx, b, alg, dist.Options{
-			Workers: cfg.DistWorkers, Policy: pol, CapFactor: cfg.ShardCapFactor,
-			Engine: eopt,
+	switch {
+	case len(cfg.DistWorkers) > 0:
+		sres, err = dist.RunCtx(ctx, b, s.alg, dist.Options{
+			Workers: cfg.DistWorkers, Policy: s.sopt.Policy, CapFactor: s.sopt.CapFactor,
+			Engine: s.eopt,
 		})
-		if sres != nil {
-			res = sres.Result
-		}
-	} else if cfg.Shards > 1 {
-		pol := shard.PolicyRange
-		if cfg.ShardPolicy != "" {
-			if pol, err = shard.ParsePolicy(cfg.ShardPolicy); err != nil {
-				return nil, err
-			}
-		}
-		sopt := shard.Options{
-			Shards: cfg.Shards, Policy: pol, CapFactor: cfg.ShardCapFactor,
-			Engine: eopt,
-		}
+	case s.sopt.Shards > 1:
+		sopt := s.sopt
 		if cfg.Prepared != nil {
 			sopt.Pre = cfg.Prepared.sh
 		}
-		sres, err = shard.RunCtx(ctx, b, alg, sopt)
-		if sres != nil {
-			res = sres.Result
-		}
-	} else {
+		sres, err = shard.RunCtx(ctx, b, s.alg, sopt)
+	default:
+		eopt := s.eopt
 		if cfg.Prepared != nil {
 			eopt.Prep = cfg.Prepared.prep
 		}
-		res, err = engine.RunCtx(ctx, b, alg, eopt)
+		res, err = engine.RunCtx(ctx, b, s.alg, eopt)
+	}
+	if sres != nil {
+		res = sres.Result
 	}
 	if err != nil {
 		return nil, err
@@ -660,10 +702,10 @@ func RunContext(ctx context.Context, g *Hypergraph, algorithm string, cfg RunCon
 		out.ReplicationFactor = sres.ReplicationFactor
 		out.WorkerRestarts = sres.WorkerRestarts
 	}
-	if kc, ok := alg.(*algorithms.KCore); ok {
+	if kc, ok := s.alg.(*algorithms.KCore); ok {
 		out.Coreness = kc.Coreness
 	}
-	if bc, ok := alg.(*algorithms.BC); ok {
+	if bc, ok := s.alg.(*algorithms.BC); ok {
 		out.Centrality = bc.Centrality
 	}
 	return out, nil

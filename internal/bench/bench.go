@@ -8,7 +8,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
@@ -208,33 +207,40 @@ type RunSpec struct {
 	ShardPolicy shard.Policy
 }
 
-// resolve applies the session defaults: WMin 0 is 3 and a nil Sys is the
-// session system, so specs that run the same simulation share a key.
+// resolve applies the session and engine defaults (a nil Sys is the session
+// system; DMax, WMin and the rest resolve as engine.Options.WithDefaults
+// does) and drops the partition of unsharded specs, so specs that run the
+// same simulation share a key.
 func (s *Session) resolve(rs RunSpec) RunSpec {
-	if rs.WMin == 0 {
-		rs.WMin = 3
-	}
 	sys := s.cfg.Sys
 	if rs.Sys != nil {
 		sys = *rs.Sys
 	}
 	rs.Sys = &sys
-	if rs.Shards > 1 && rs.ShardPolicy == "" {
+	eo := rs.options().WithDefaults()
+	rs.Sys, rs.DMax, rs.WMin = &eo.Sys, eo.DMax, eo.WMin
+	if rs.Shards <= 1 {
+		rs.Shards, rs.ShardPolicy = 0, ""
+	} else if rs.ShardPolicy == "" {
 		rs.ShardPolicy = shard.PolicyRange
 	}
 	return rs
 }
 
-// key identifies a resolved spec's result. The system config enters as a
-// digest of every field, so specs differing anywhere in it never collide.
+// options returns the engine options rs runs under, host knobs unset.
+func (rs RunSpec) options() engine.Options {
+	return engine.Options{Kind: rs.Kind, Sys: *rs.Sys, DMax: rs.DMax, WMin: rs.WMin, ChargePreprocess: rs.Charge}
+}
+
+// key identifies a resolved spec's result: the engine options enter through
+// engine.Options.Key, so specs differing in any result-shaping field never
+// collide.
 func (rs RunSpec) key() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", *rs.Sys)
 	shards := ""
 	if rs.Shards > 1 {
 		shards = fmt.Sprintf("/k%d/%s", rs.Shards, rs.ShardPolicy)
 	}
-	return fmt.Sprintf("%s/%s/%v/d%d/w%d/ch%v/re%v/sys%016x%s", rs.Dataset, rs.Algo, rs.Kind, rs.DMax, rs.WMin, rs.Charge, rs.Reordered, h.Sum64(), shards)
+	return fmt.Sprintf("%s/%s/re%v/e%s%s", rs.Dataset, rs.Algo, rs.Reordered, rs.options().Key(), shards)
 }
 
 // Run simulates one cell (cached). Concurrent callers with the same key
@@ -287,10 +293,9 @@ func simulate[R any](s *Session, c *flight.Cache[R], rs RunSpec, run func(engine
 		if s.cfg.Log.Enabled(obs.LevelIteration) {
 			ob = obs.Multi(ob, s.cfg.Log)
 		}
-		return run(engine.Options{
-			Kind: rs.Kind, Sys: *rs.Sys, DMax: rs.DMax, WMin: rs.WMin,
-			ChargePreprocess: rs.Charge, Workers: s.cfg.Workers, Observer: ob,
-		}, alg)
+		opt := rs.options()
+		opt.Workers, opt.Observer = s.cfg.Workers, ob
+		return run(opt, alg)
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chgraph/internal/engine"
+	"chgraph/internal/shard"
 	"chgraph/internal/sim/system"
 )
 
@@ -95,39 +96,53 @@ func TestSimulatedRunnersSmoke(t *testing.T) {
 	}
 }
 
-// TestRunSpecKey pins the cell key to the resolved spec: every field of the
-// system config shapes results and must change the key, while spellings of
-// the session defaults (nil Sys, WMin 0) must not.
+// TestRunSpecKey pins the cell key to the resolved spec: every
+// result-shaping field (each field of the system config included) must
+// change the key, while spellings of the session and engine defaults (nil
+// Sys, cores 0, WMin 0, DMax 0, Shards 0 or 1, an unused or default policy)
+// must not.
 func TestRunSpecKey(t *testing.T) {
 	s := tinySession()
 	base := RunSpec{Dataset: "FS", Algo: "BFS", Kind: engine.ChGraph}
-	sys := func(mut func(*system.Config)) func(*RunSpec) {
-		return func(rs *RunSpec) {
-			c := s.Cfg().Sys
-			mut(&c)
-			rs.Sys = &c
-		}
+	sharded := RunSpec{Dataset: "FS", Algo: "BFS", Kind: engine.ChGraph, Shards: 2}
+	with := func(rs RunSpec, mut func(*RunSpec)) RunSpec { mut(&rs); return rs }
+	sys := func(mut func(*system.Config)) RunSpec {
+		c := s.Cfg().Sys
+		mut(&c)
+		return with(base, func(rs *RunSpec) { rs.Sys = &c })
 	}
 	cases := []struct {
 		name string
-		mut  func(*RunSpec)
+		a, b RunSpec
 		same bool
 	}{
-		{"explicit session sys", sys(func(*system.Config) {}), true},
-		{"explicit default wmin", func(rs *RunSpec) { rs.WMin = 3 }, true},
-		{"L1 latency", sys(func(c *system.Config) { c.L1.Latency++ }), false},
-		{"L2 ways", sys(func(c *system.Config) { c.L2.Ways *= 2 }), false},
-		{"mesh", sys(func(c *system.Config) { c.Mesh.LinkCycles++ }), false},
-		{"memory", sys(func(c *system.Config) { c.Mem.LatencyCycles++ }), false},
-		{"MLP", sys(func(c *system.Config) { c.CoreMLP++ }), false},
-		{"wmin", func(rs *RunSpec) { rs.WMin = 4 }, false},
+		{"explicit session sys", base, sys(func(*system.Config) {}), true},
+		{"cores 0 vs 16", sys(func(c *system.Config) { *c = system.ScaledConfig() }), sys(func(c *system.Config) { c.Cores = 0 }), true},
+		{"explicit default wmin", base, with(base, func(rs *RunSpec) { rs.WMin = 3 }), true},
+		{"explicit default dmax", base, with(base, func(rs *RunSpec) { rs.DMax = 16 }), true},
+		{"shards 0 vs 1", base, with(base, func(rs *RunSpec) { rs.Shards = 1 }), true},
+		{"policy when unsharded", base, with(base, func(rs *RunSpec) { rs.Shards, rs.ShardPolicy = 1, shard.PolicyGreedy }), true},
+		{"policy \"\" vs range", sharded, with(sharded, func(rs *RunSpec) { rs.ShardPolicy = shard.PolicyRange }), true},
+
+		{"L1 latency", base, sys(func(c *system.Config) { c.L1.Latency++ }), false},
+		{"L2 ways", base, sys(func(c *system.Config) { c.L2.Ways *= 2 }), false},
+		{"mesh", base, sys(func(c *system.Config) { c.Mesh.LinkCycles++ }), false},
+		{"memory", base, sys(func(c *system.Config) { c.Mem.LatencyCycles++ }), false},
+		{"MLP", base, sys(func(c *system.Config) { c.CoreMLP++ }), false},
+		{"cores", base, sys(func(c *system.Config) { c.Cores = 8 }), false},
+		{"wmin", base, with(base, func(rs *RunSpec) { rs.WMin = 4 }), false},
+		{"dmax", base, with(base, func(rs *RunSpec) { rs.DMax = 8 }), false},
+		{"kind", base, with(base, func(rs *RunSpec) { rs.Kind = engine.GLA }), false},
+		{"charge", base, with(base, func(rs *RunSpec) { rs.Charge = true }), false},
+		{"reordered", base, with(base, func(rs *RunSpec) { rs.Reordered = true }), false},
+		{"algorithm", base, with(base, func(rs *RunSpec) { rs.Algo = "PR" }), false},
+		{"shards", base, sharded, false},
+		{"policy", sharded, with(sharded, func(rs *RunSpec) { rs.ShardPolicy = shard.PolicyGreedy }), false},
 	}
-	want := s.resolve(base).key()
 	for _, c := range cases {
-		rs := base
-		c.mut(&rs)
-		if got := s.resolve(rs).key(); (got == want) != c.same {
-			t.Errorf("%s: key %q vs base %q, same=%v want %v", c.name, got, want, got == want, c.same)
+		a, b := s.resolve(c.a).key(), s.resolve(c.b).key()
+		if (a == b) != c.same {
+			t.Errorf("%s: keys %q and %q, same=%v want %v", c.name, a, b, a == b, c.same)
 		}
 	}
 }

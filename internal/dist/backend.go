@@ -48,8 +48,7 @@ type remoteBackend struct {
 
 	// Handshake payload, retained verbatim for rejoins.
 	graphBlob []byte
-	wopts     wireOptions
-	chargePre bool
+	opts      engine.Options // resolved; the host-only fields stay local
 	observe   bool
 
 	// Current-iteration replay log.
@@ -190,7 +189,7 @@ func (b *remoteBackend) handshake(ctx context.Context) error {
 	session := fmt.Sprintf("%s-%d-%d", b.co.runID, b.shardID, b.seq)
 	hdr, err := json.Marshal(prepareRequest{
 		Session: session, Shard: b.shardID, Iter: b.iter,
-		Options: b.wopts, ChargePreprocess: b.chargePre, Observe: b.observe,
+		Options: b.opts, Observe: b.observe,
 	})
 	if err != nil {
 		return err

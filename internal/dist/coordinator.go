@@ -119,23 +119,19 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	if opt.Engine.Prep != nil {
 		return nil, fmt.Errorf("dist: Engine.Prep must be nil (each worker preps its own sub-hypergraph)")
 	}
-	pol := opt.Policy
-	if pol == "" {
-		pol = shard.PolicyRange
+	so, err := shard.Options{Shards: k, Policy: opt.Policy, CapFactor: opt.CapFactor, Engine: opt.Engine}.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	workers := opt.Engine.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	eo := opt.Engine.WithDefaults()
+	eo, workers := so.Engine, so.Engine.Workers
 
-	userObs := opt.Engine.Observer
+	userObs := eo.Observer
 	var hostStart time.Time
 	if userObs != nil {
 		hostStart = time.Now()
 	}
 
-	a, err := shard.Partition(g, k, pol, opt.CapFactor)
+	a, err := shard.Partition(g, k, so.Policy, so.CapFactor)
 	if err != nil {
 		return nil, err
 	}
@@ -158,14 +154,13 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	errs := make([]error, k)
 	par.For(workers, k, func(i int) {
 		b := &remoteBackend{
-			co:        co,
-			sh:        p.Shards[i],
-			shardID:   i,
-			base:      baseURL(opt.Workers[i]),
-			wopts:     toWireOptions(eo),
-			chargePre: opt.Engine.ChargePreprocess,
-			observe:   userObs != nil,
-			tap:       userObs,
+			co:      co,
+			sh:      p.Shards[i],
+			shardID: i,
+			base:    baseURL(opt.Workers[i]),
+			opts:    eo,
+			observe: userObs != nil,
+			tap:     userObs,
 		}
 		b.graphBlob = appendGraph(nil, b.sh.G)
 		b.nextV = bitset.New(b.sh.G.NumVertices())
@@ -195,7 +190,7 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	}
 	return shard.RunBarrier(ctx, p, alg, bks, shard.BarrierOptions{
 		Workers:          workers,
-		ChargePreprocess: opt.Engine.ChargePreprocess,
+		ChargePreprocess: eo.ChargePreprocess,
 		Observer:         userObs,
 		HostStart:        hostStart,
 	})

@@ -39,48 +39,7 @@ import (
 	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/obs"
-	"chgraph/internal/sim/system"
 )
-
-// wireOptions is the JSON-serializable subset of engine.Options a worker
-// needs to open an instance bit-identical to an in-process shard engine.
-// Host-side knobs (Workers, Observer, Prep) deliberately stay local: they
-// cannot change simulated results.
-type wireOptions struct {
-	Kind             string               `json:"kind"`
-	Sys              system.Config        `json:"sys"`
-	DMax             int                  `json:"d_max"`
-	WMin             uint32               `json:"w_min"`
-	Costs            engine.Costs         `json:"costs"`
-	ChainFIFO        int                  `json:"chain_fifo"`
-	EdgeFIFO         int                  `json:"edge_fifo"`
-	PrefetchDistance int                  `json:"prefetch_distance"`
-	PrepCost         engine.PrepCostModel `json:"prep_cost"`
-}
-
-// toWireOptions flattens resolved engine options for the handshake.
-func toWireOptions(o engine.Options) wireOptions {
-	return wireOptions{
-		Kind: o.Kind.String(), Sys: o.Sys, DMax: o.DMax, WMin: o.WMin,
-		Costs: o.Costs, ChainFIFO: o.ChainFIFO, EdgeFIFO: o.EdgeFIFO,
-		PrefetchDistance: o.PrefetchDistance, PrepCost: o.PrepCost,
-	}
-}
-
-// engineOptions reconstitutes worker-side engine options; workers is the
-// worker process's own host parallelism.
-func (w wireOptions) engineOptions(workers int) (engine.Options, error) {
-	kind, err := engine.ParseKind(w.Kind)
-	if err != nil {
-		return engine.Options{}, err
-	}
-	return engine.Options{
-		Kind: kind, Sys: w.Sys, DMax: w.DMax, WMin: w.WMin,
-		Costs: w.Costs, ChainFIFO: w.ChainFIFO, EdgeFIFO: w.EdgeFIFO,
-		PrefetchDistance: w.PrefetchDistance, PrepCost: w.PrepCost,
-		Workers: workers,
-	}, nil
-}
 
 // prepareRequest is the /prepare JSON header; the request payload is the
 // shard's sub-hypergraph (appendGraph encoding).
@@ -96,11 +55,13 @@ type prepareRequest struct {
 	// handshake, the current iteration when a crashed worker rejoins
 	// mid-run (phase snapshots then carry the right iteration index).
 	Iter int `json:"iter"`
-	// Options configure the worker's engine; ChargePreprocess charges the
-	// modelled preprocessing time right after the engine opens, exactly
-	// where the in-process runtime charges it.
-	Options          wireOptions `json:"options"`
-	ChargePreprocess bool        `json:"charge_preprocess"`
+	// Options configure the worker's engine. The host-only fields (Prep,
+	// Workers, Observer) are tagged json:"-" and stay with the coordinator;
+	// everything that shapes the simulated result travels. With
+	// ChargePreprocess set, the worker charges the modelled preprocessing
+	// time right after the engine opens, exactly where the in-process
+	// runtime charges it.
+	Options engine.Options `json:"options"`
 	// Observe asks the worker to capture per-phase snapshots and return
 	// them in commit replies.
 	Observe bool `json:"observe"`
@@ -259,6 +220,12 @@ func decodeGraph(data []byte) (*hypergraph.Bipartite, error) {
 		return nil, fmt.Errorf("dist: unknown graph flag %d", flag)
 	}
 	directed := flag == wireGraphDirected
+	// Every hyperedge (and, for directed graphs, every vertex) carries at
+	// least its 4-byte degree, so a count the body cannot hold is rejected
+	// before it sizes an allocation.
+	if uint64(numH) > uint64(len(r.b))/4 || (directed && uint64(numH)+uint64(numV) > uint64(len(r.b))/4) {
+		return nil, fmt.Errorf("dist: graph counts (%d,%d) overrun a %d-byte body", numV, numH, len(r.b))
+	}
 	pins := make([][]uint32, numH)
 	for h := range pins {
 		deg, err := r.u32()

@@ -2,11 +2,16 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
+	"chgraph/internal/obs"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -156,18 +161,129 @@ func TestResolutionsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireOptionsRoundTrip(t *testing.T) {
-	eo := engine.Options{Kind: engine.ChGraphHCG, DMax: 9, WMin: 5, ChainFIFO: 3, EdgeFIFO: 17, PrefetchDistance: 2}.WithDefaults()
-	back, err := toWireOptions(eo).engineOptions(4)
-	if err != nil {
+// TestPrepareOptionsRoundTrip walks engine.Options by reflection: every
+// leaf of a field the /prepare handshake ships (any field not tagged
+// json:"-") must survive the JSON round trip and must change Options.Key
+// when set away from its default, and the host-only fields (exactly Prep,
+// Workers and Observer) must leave the key alone. A field added to
+// engine.Options later is covered without editing this test.
+func TestPrepareOptionsRoundTrip(t *testing.T) {
+	base := engine.Options{}.WithDefaults()
+	base.Workers = 0
+	baseKey := base.Key()
+	typ := reflect.TypeOf(base)
+
+	var host []string
+	var leaves [][]int
+	var walk func(reflect.Type, []int)
+	walk = func(rt reflect.Type, prefix []int) {
+		for i := 0; i < rt.NumField(); i++ {
+			f := rt.Field(i)
+			idx := append(append([]int{}, prefix...), i)
+			switch {
+			case !f.IsExported():
+				t.Errorf("%s.%s is unexported: JSON cannot ship it", rt.Name(), f.Name)
+			case len(prefix) == 0 && f.Tag.Get("json") == "-":
+				host = append(host, f.Name)
+			case f.Type.Kind() == reflect.Struct:
+				walk(f.Type, idx)
+			default:
+				leaves = append(leaves, idx)
+			}
+		}
+	}
+	walk(typ, nil)
+	if !reflect.DeepEqual(host, []string{"Prep", "Workers", "Observer"}) {
+		t.Fatalf("host-only fields %v, want [Prep Workers Observer]", host)
+	}
+
+	for _, idx := range leaves {
+		o := base
+		leaf := reflect.ValueOf(&o).Elem().FieldByIndex(idx)
+		name := fieldPath(typ, idx)
+		switch leaf.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			leaf.SetInt(leaf.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			leaf.SetUint(leaf.Uint() + 1)
+		case reflect.Float32, reflect.Float64:
+			leaf.SetFloat(leaf.Float() + 0.5)
+		case reflect.Bool:
+			leaf.SetBool(!leaf.Bool())
+		case reflect.String:
+			leaf.SetString(leaf.String() + "x")
+		default:
+			t.Errorf("%s: no perturbation for kind %v", name, leaf.Kind())
+			continue
+		}
+		if o.Key() == baseKey {
+			t.Errorf("%s: changing it leaves Key unchanged", name)
+		}
+		hdr, err := json.Marshal(prepareRequest{Session: "s", Options: o})
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", name, err)
+		}
+		var back prepareRequest
+		if err := json.Unmarshal(hdr, &back); err != nil {
+			t.Fatalf("%s: unmarshal: %v", name, err)
+		}
+		if !reflect.DeepEqual(back.Options, o) {
+			t.Errorf("%s: did not survive the /prepare JSON:\n got %+v\nwant %+v", name, back.Options, o)
+		}
+	}
+
+	for name, mut := range map[string]func(*engine.Options){
+		"Prep":     func(o *engine.Options) { o.Prep = &engine.Prep{} },
+		"Workers":  func(o *engine.Options) { o.Workers = 7 },
+		"Observer": func(o *engine.Options) { o.Observer = obs.NewTimeline() },
+	} {
+		o := base
+		mut(&o)
+		if o.Key() != baseKey {
+			t.Errorf("host-only %s changed Key", name)
+		}
+	}
+	if (engine.Options{}).Key() != baseKey {
+		t.Error("zero Options and their resolved defaults have different keys")
+	}
+
+	var bad prepareRequest
+	if err := json.Unmarshal([]byte(`{"options":{"Kind":99}}`), &bad); err != nil {
 		t.Fatal(err)
 	}
-	if back.Kind != eo.Kind || back.DMax != eo.DMax || back.WMin != eo.WMin ||
-		back.ChainFIFO != eo.ChainFIFO || back.EdgeFIFO != eo.EdgeFIFO ||
-		back.PrefetchDistance != eo.PrefetchDistance || back.Workers != 4 {
-		t.Fatalf("options round trip mismatch: %+v vs %+v", back, eo)
+	if _, err := engine.NewInstance(hypergraph.MustBuild(2, [][]uint32{{0, 1}}), bad.Options); err == nil {
+		t.Error("unknown engine kind from the wire opened an instance")
 	}
-	if !reflect.DeepEqual(back.Sys, eo.Sys) || !reflect.DeepEqual(back.Costs, eo.Costs) || !reflect.DeepEqual(back.PrepCost, eo.PrepCost) {
-		t.Fatal("sim config did not round trip")
+}
+
+// fieldPath names the (possibly nested) field at idx for messages.
+func fieldPath(rt reflect.Type, idx []int) string {
+	var parts []string
+	for _, i := range idx {
+		f := rt.Field(i)
+		parts = append(parts, f.Name)
+		rt = f.Type
+	}
+	return strings.Join(parts, ".")
+}
+
+// TestDecodeGraphHeaderClaim: a tiny body whose header claims 2^24
+// hyperedges is rejected having allocated in proportion to its bytes.
+func TestDecodeGraphHeaderClaim(t *testing.T) {
+	for _, flag := range []byte{wireGraphRaw, wireGraphDirected} {
+		blob := binary.LittleEndian.AppendUint32(nil, 4)
+		blob = binary.LittleEndian.AppendUint32(blob, 1<<24)
+		blob = append(blob, flag, 0, 0, 0, 0)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := decodeGraph(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("flag %d: truncated graph accepted", flag)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("flag %d: 2^24-hyperedge claim allocated %d bytes, want < 1 MiB", flag, got)
+		}
 	}
 }

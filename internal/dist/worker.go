@@ -18,7 +18,6 @@ import (
 	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/obs"
-	"chgraph/internal/par"
 )
 
 // DefaultMaxBody bounds a worker request body (the handshake carries the
@@ -188,14 +187,8 @@ func (w *Worker) prepare(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, errBad("%v", err)
 	}
-	workers := w.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	o, err := req.Options.engineOptions(workers)
-	if err != nil {
-		return nil, errBad("%v", err)
-	}
+	o := req.Options
+	o.Workers = w.Workers
 	var co *capObs
 	if req.Observe {
 		co = &capObs{}
@@ -211,7 +204,7 @@ func (w *Worker) prepare(body []byte) ([]byte, error) {
 	w.nextE = bitset.New(g.NumHyperedges())
 	w.nextV = bitset.New(g.NumVertices())
 	w.pre = 0
-	if req.ChargePreprocess {
+	if o.ChargePreprocess {
 		in.ChargePreprocess()
 		w.pre = in.PreprocessCycles()
 	}

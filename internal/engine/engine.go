@@ -26,6 +26,8 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
@@ -200,7 +202,7 @@ type Options struct {
 	// Costs are the compute-cost constants (default DefaultCosts).
 	Costs Costs
 	// Prep supplies prebuilt chunks/OAGs; nil builds them on demand.
-	Prep *Prep
+	Prep *Prep `json:"-"`
 	// ChainFIFO and EdgeFIFO are the ChGraph buffer capacities (32 each
 	// per §VI-E).
 	ChainFIFO, EdgeFIFO int
@@ -215,16 +217,20 @@ type Options struct {
 	// on-demand Prep construction. The simulated results are identical for
 	// every value: parallel work is restricted to independent per-chunk
 	// compilation, and all algorithm state mutation stays sequential in
-	// core order. 0 selects runtime.GOMAXPROCS(0); 1 is the fully serial
-	// path.
-	Workers int
+	// core order. 0 (or any value below 1) selects runtime.GOMAXPROCS(0);
+	// 1 is the fully serial path.
+	Workers int `json:"-"`
 	// Observer, if non-nil, receives per-phase, per-iteration and run
 	// snapshots (internal/obs). Observers are read-only taps: attaching
 	// one leaves every Result field bit-identical.
-	Observer obs.Observer
+	Observer obs.Observer `json:"-"`
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every unset field resolved to its default —
+// exactly the options an Instance created from o runs under. Callers that
+// build artifacts for later reuse resolve through this so the artifacts
+// match what the engine will execute.
+func (o Options) WithDefaults() Options {
 	if o.Sys.Cores == 0 {
 		o.Sys = system.ScaledConfig()
 	}
@@ -249,17 +255,23 @@ func (o Options) withDefaults() Options {
 	if o.PrepCost == (PrepCostModel{}) {
 		o.PrepCost = DefaultPrepCost()
 	}
-	if o.Workers == 0 {
+	if o.Workers <= 0 {
 		o.Workers = par.DefaultWorkers()
 	}
 	return o
 }
 
-// WithDefaults returns o with every unset field resolved to its default —
-// exactly the options an Instance created from o runs under. Callers that
-// build artifacts for later reuse (internal/shard, internal/serve) resolve
-// through this so their cache keys match what the engine will execute.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
+// Key identifies the simulated run o configures: a digest of every
+// result-shaping field after defaults are resolved. The host-only fields
+// (Prep, Workers, Observer; the ones tagged json:"-", which the distributed
+// handshake does not ship either) never enter it, so options that differ
+// only in spelling a default or in host parallelism share one key.
+func (o Options) Key() string {
+	o = o.WithDefaults()
+	o.Prep, o.Workers, o.Observer = nil, 0, nil
+	sum := sha256.Sum256(fmt.Appendf(nil, "%+v", o))
+	return hex.EncodeToString(sum[:16])
+}
 
 // Result reports a run's outputs and measurements.
 type Result struct {

@@ -9,6 +9,7 @@ import (
 	"chgraph/internal/algorithms"
 	"chgraph/internal/gen"
 	"chgraph/internal/hypergraph"
+	"chgraph/internal/obs"
 	"chgraph/internal/sim/system"
 )
 
@@ -318,5 +319,27 @@ func TestPrepHyperedgeChunksMismatchRejected(t *testing.T) {
 	prep.HChunks = prep.HChunks[:len(prep.HChunks)-1]
 	if _, err := Run(g, algorithms.NewBFS(0), Options{Kind: ChGraph, Sys: testSys(), Prep: prep}); err == nil {
 		t.Fatal("expected hyperedge-chunk/prep mismatch error")
+	}
+}
+
+// TestOptionsKeyAndKindCheck: Key resolves defaults before digesting and
+// ignores the host-only fields, and an out-of-range Kind (the distributed
+// handshake ships it as a number) is an error rather than a panic deep in
+// phase compilation.
+func TestOptionsKeyAndKindCheck(t *testing.T) {
+	base := Options{Kind: ChGraph}
+	if base.Key() != base.WithDefaults().Key() {
+		t.Fatal("resolving defaults changed Key")
+	}
+	host := base
+	host.Workers, host.Observer, host.Prep = 3, obs.NewTimeline(), &Prep{}
+	if host.Key() != base.Key() {
+		t.Fatal("host-only fields changed Key")
+	}
+	if (Options{Kind: GLA}).Key() == base.Key() {
+		t.Fatal("Kind missing from Key")
+	}
+	if _, err := NewInstance(smallHG(1), Options{Kind: HygraPF + 1, Sys: testSys()}); err == nil {
+		t.Fatal("out-of-range Kind opened an instance")
 	}
 }

@@ -51,7 +51,10 @@ func NewInstanceCtx(ctx context.Context, g *hypergraph.Bipartite, opt Options) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
+	if opt.Kind < Hygra || opt.Kind > HygraPF {
+		return nil, fmt.Errorf("engine: unknown execution model %v", opt.Kind)
+	}
 	needChains := opt.Kind == GLA || opt.Kind == ChGraph || opt.Kind == ChGraphHCG
 	prep := opt.Prep
 	if prep == nil {

@@ -46,7 +46,7 @@ func WriteText(w io.Writer, g *Bipartite) error {
 // ReadText parses the text format.
 func ReadText(r io.Reader) (*Bipartite, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("hypergraph: empty input")
 	}
@@ -54,7 +54,9 @@ func ReadText(r io.Reader) (*Bipartite, error) {
 	if _, err := fmt.Sscanf(strings.TrimSpace(sc.Text()), "%d %d", &numV, &numH); err != nil {
 		return nil, fmt.Errorf("hypergraph: bad header %q: %w", sc.Text(), err)
 	}
-	hs := make([][]uint32, 0, numH)
+	// hs grows line by line: the header's count is checked once the input
+	// is consumed, never trusted to size an allocation.
+	var hs [][]uint32
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -129,12 +131,12 @@ func ReadBinary(r io.Reader) (*Bipartite, error) {
 	if numAdj > sanity || numH > sanity || numV > sanity {
 		return nil, fmt.Errorf("hypergraph: implausible sizes %d/%d/%d", numV, numH, numAdj)
 	}
-	hOff := make([]uint32, numH+1)
-	hAdj := make([]uint32, numAdj)
-	if err := binary.Read(br, binary.LittleEndian, hOff); err != nil {
+	hOff, err := readUint32s(br, numH+1)
+	if err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, hAdj); err != nil {
+	hAdj, err := readUint32s(br, numAdj)
+	if err != nil {
 		return nil, err
 	}
 	hs := make([][]uint32, numH)
@@ -145,4 +147,24 @@ func ReadBinary(r io.Reader) (*Bipartite, error) {
 		hs[h] = hAdj[hOff[h]:hOff[h+1]]
 	}
 	return Build(numV, hs)
+}
+
+// readUint32s reads n little-endian uint32s in bounded chunks, growing the
+// result only as bytes arrive: a header claiming more entries than the input
+// holds fails at EOF having allocated in proportion to the input, not to the
+// claim.
+func readUint32s(r io.Reader, n uint32) ([]uint32, error) {
+	const chunk = 1 << 14
+	buf := make([]byte, 4*min(n, chunk))
+	out := make([]uint32, 0, min(n, chunk))
+	for rem := n; rem > 0; rem = n - uint32(len(out)) {
+		b := buf[:4*min(rem, chunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 4 {
+			out = append(out, binary.LittleEndian.Uint32(b[i:]))
+		}
+	}
+	return out, nil
 }

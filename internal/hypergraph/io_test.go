@@ -2,6 +2,8 @@ package hypergraph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,5 +121,32 @@ func TestReadBinaryErrors(t *testing.T) {
 	raw[len(raw)-4] = 0xff // clobber part of adjacency/offsets
 	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Skip("corruption landed in a benign byte")
+	}
+}
+
+// TestReadHeaderClaimsDoNotDriveAllocation: a tiny input whose header claims
+// 2^24 hyperedges (and pins) must fail having allocated in proportion to
+// its bytes, not to the claim.
+func TestReadHeaderClaimsDoNotDriveAllocation(t *testing.T) {
+	const claim = 1 << 24
+	bin := []byte("CHG1")
+	for _, x := range []uint32{4, claim, claim} {
+		bin = binary.LittleEndian.AppendUint32(bin, x)
+	}
+	for name, read := range map[string]func() error{
+		"binary": func() error { _, err := ReadBinary(bytes.NewReader(bin)); return err },
+		"text":   func() error { _, err := ReadText(strings.NewReader("4 16777216\n")); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated input accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: %d-entry header claim allocated %d bytes, want < 1 MiB", name, claim, got)
+		}
 	}
 }

@@ -52,9 +52,11 @@ func TestServeCacheHitRunAllocs(t *testing.T) {
 		t.Errorf("warm cache-hit request allocates %.0f objects, want < 10%% of the cold request's %.0f", warm, cold)
 	}
 	// Absolute ceiling with generous headroom over the measured steady state
-	// (~80 objects: request decode, run bookkeeping, response encode);
+	// (~150 objects: request decode, run bookkeeping, response encode);
 	// per-phase buffer rebuilding costs thousands of objects per request.
-	if warm > 500 {
+	// The race runtime allocates on its own account (500–750 objects per
+	// warm request), so under -race only the relative bound above holds.
+	if !raceEnabled && warm > 500 {
 		t.Errorf("warm cache-hit request allocates %.0f objects, want <= 500", warm)
 	}
 }

@@ -125,6 +125,30 @@ func TestServeMutateFirstTouch(t *testing.T) {
 	}
 }
 
+// TestServeMutateDefaultSpelling: /mutate and /run resolve their specs the
+// same way, so a mutation that spells the defaults out (cores 16, W_min 3)
+// mutates the artifact a /run omitting them executes on — no second build,
+// and the run sees the mutated generation.
+func TestServeMutateDefaultSpelling(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	code, mr := postMutate(t, ts.URL, MutateRequest{
+		Dataset: "OK", Scale: 0.02, Cores: 16, WMin: 3, Add: [][]uint32{{0, 1}},
+	})
+	if code != http.StatusOK || mr.Generation != 1 {
+		t.Fatalf("mutate: code %d generation %d, want 200/1", code, mr.Generation)
+	}
+	code, rr := postRun(t, ts.URL, RunRequest{Dataset: "OK", Scale: 0.02, Algorithm: "BFS"})
+	if code != http.StatusOK || rr.Generation != 1 || rr.PrepCache != "hit" {
+		t.Fatalf("run with defaults omitted: code %d generation %d prep_cache %q, want 200/1/hit", code, rr.Generation, rr.PrepCache)
+	}
+	if snap := srv.Metrics(); snap.CacheBuilds != 1 {
+		t.Fatalf("cache builds = %d, want 1", snap.CacheBuilds)
+	}
+}
+
 // TestServeMutateErrors: malformed batches and specs fail with 4xx and count
 // as failed mutations without installing a new version.
 func TestServeMutateErrors(t *testing.T) {

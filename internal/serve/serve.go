@@ -23,10 +23,12 @@
 // client is gone. Shutdown flips the server into draining (new requests get
 // 503), then waits for in-flight requests up to a deadline.
 //
-// Coalescing and caching both key on the simulated specification only —
-// host-side knobs (workers, response shaping) are excluded, because results
-// are bit-identical for every host parallelism (DESIGN.md §10's determinism
-// contract). Two requests that differ only in Workers share one run.
+// Coalescing and caching both key on the simulated specification only: the
+// keys are derived by chgraph.RunConfig.RunKey/PrepKey from the resolved
+// configuration, so spellings of one spec (an omitted default or its
+// explicit value) share one entry, and host-side knobs (workers, response
+// shaping) are excluded because results are bit-identical for every host
+// parallelism (DESIGN.md §10's determinism contract).
 package serve
 
 import (
@@ -125,35 +127,13 @@ type RunRequest struct {
 	IncludeValues bool `json:"include_values,omitempty"`
 }
 
-// runKey is the coalescing key: every field that shapes the simulated
-// result, and nothing else. The zero-argument forms assume a built-in
-// dataset; tenant-resolved requests use the *For variants with the
-// resolved dataset key (which carries tenant and upload id for registered
-// datasets, so tenants can never collide on a name).
-func (r RunRequest) runKey() string { return r.runKeyFor(strings.ToUpper(r.Dataset)) }
-
-func (r RunRequest) runKeyFor(ds string) string {
-	return fmt.Sprintf("%s/s%g/%s/%s/c%d/w%d/d%d/i%d/src%d/k%d/%s",
-		ds, r.Scale, r.Algorithm, strings.ToLower(r.Engine),
-		r.Cores, r.WMin, r.DMax, r.Iterations, r.Source, r.Shards, r.ShardPolicy)
-}
-
-// prepKey is the artifact-cache key: every field preprocessing depends on.
-// Engine kind, algorithm and D_max are absent — one artifact serves them
-// all.
-func (r RunRequest) prepKey() string { return r.prepKeyFor(strings.ToUpper(r.Dataset)) }
-
-func (r RunRequest) prepKeyFor(ds string) string {
-	return fmt.Sprintf("%s/s%g/c%d/w%d/k%d/%s",
-		ds, r.Scale, r.Cores, r.WMin, r.Shards, r.ShardPolicy)
-}
-
 // dsRef is a resolved dataset reference: where a request's data actually
 // comes from. Registered datasets resolve to their in-memory hypergraph
 // (Scale is ignored for them); built-ins keep the lazy generator path.
 type dsRef struct {
 	key     string              // dataset component of prep/flight keys
 	name    string              // canonical built-in name ("" when registered)
+	scale   float64             // built-in scale, 0 for the calibrated default
 	isGraph bool                // built-in ordinary-graph dataset
 	g       *chgraph.Hypergraph // registered contents (nil for built-ins)
 }
@@ -161,7 +141,7 @@ type dsRef struct {
 // resolveDataset maps (tenant, name) to a dsRef: the tenant's registry
 // first, then the built-in synthetic datasets. A registered name shadows a
 // built-in of the same name for that tenant only.
-func (s *Server) resolveDataset(tenant, name string) (dsRef, error) {
+func (s *Server) resolveDataset(tenant, name string, scale float64) (dsRef, error) {
 	if ds, ok := s.registry.lookup(tenant, name); ok {
 		return dsRef{key: regKey(tenant, name, ds.id), g: ds.g}, nil
 	}
@@ -169,7 +149,66 @@ func (s *Server) resolveDataset(tenant, name string) (dsRef, error) {
 	if err != nil {
 		return dsRef{}, err
 	}
-	return dsRef{key: strings.ToUpper(canonical), name: canonical, isGraph: isGraph}, nil
+	if scale < 0 {
+		scale = 0
+	}
+	return dsRef{
+		key:  fmt.Sprintf("%s/s%g", strings.ToUpper(canonical), scale),
+		name: canonical, scale: scale, isGraph: isGraph,
+	}, nil
+}
+
+// spec is a request resolved before admission: the dataset it reads, the
+// configuration it runs under, and the cache keys chgraph derives from that
+// configuration, qualified by the dataset key (which carries tenant and
+// upload id for registered datasets, so tenants never collide on a name).
+type spec struct {
+	ref       dsRef
+	cfg       chgraph.RunConfig
+	algorithm string
+	prepKey   string // artifact-cache key
+	runKey    string // coalescing key ("" for /mutate, which runs nothing)
+}
+
+// resolvePrep resolves the dataset and the preparation fields of cfg. Any
+// error is the requester's: the spec names nothing that can be prepared.
+func (s *Server) resolvePrep(tenant, dataset string, scale float64, cfg chgraph.RunConfig) (spec, error) {
+	ref, err := s.resolveDataset(tenant, dataset, scale)
+	if err != nil {
+		return spec{}, err
+	}
+	key, err := cfg.PrepKey()
+	if err != nil {
+		return spec{}, err
+	}
+	return spec{ref: ref, cfg: cfg, prepKey: ref.key + "/" + key}, nil
+}
+
+// resolveRun resolves a /run request; like resolvePrep, every error it
+// returns is the requester's.
+func (s *Server) resolveRun(tenant string, req RunRequest) (spec, error) {
+	cfg := chgraph.RunConfig{
+		Cores: req.Cores, WMin: req.WMin, DMax: req.DMax,
+		Iterations: req.Iterations, Source: req.Source, Workers: req.Workers,
+		Shards: req.Shards, ShardPolicy: req.ShardPolicy,
+	}
+	if req.Engine != "" {
+		kind, err := chgraph.ParseEngine(req.Engine)
+		if err != nil {
+			return spec{}, err
+		}
+		cfg.Engine = kind
+	}
+	sp, err := s.resolvePrep(tenant, req.Dataset, req.Scale, cfg)
+	if err != nil {
+		return spec{}, err
+	}
+	key, err := cfg.RunKey(req.Algorithm)
+	if err != nil {
+		return spec{}, err
+	}
+	sp.algorithm, sp.runKey = req.Algorithm, sp.ref.key+"/"+key
+	return sp, nil
 }
 
 // RunResponse is the /run response body.
@@ -210,8 +249,10 @@ type runOutcome struct {
 	prepHit bool
 }
 
-// errBadSpec marks request errors (unknown names, mismatched parameters)
-// that map to 400 rather than 500.
+// errBadSpec marks request errors found after admission (a built-in
+// dataset that fails to generate at the requested scale) that map to 400
+// rather than 500; spec errors found before admission are answered 400
+// directly.
 var errBadSpec = errors.New("bad request spec")
 
 // Server is the serving layer. Construct with NewServer; it implements
@@ -359,16 +400,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := validate(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	tenantName, err := tenantFrom(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ref, err := s.resolveDataset(tenantName, req.Dataset)
+	// Resolve before taking a tenant token or queue slot: a spec that
+	// cannot run costs the server nothing.
+	sp, err := s.resolveRun(tenantName, req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -419,32 +458,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// coalesced group observes — every sharer still gets one consistent
 	// artifact, and the response reports the generation actually run.
 	var gen uint64
-	if art, ok := s.cache.Peek(req.prepKeyFor(ref.key)); ok {
+	if art, ok := s.cache.Peek(sp.prepKey); ok {
 		gen = art.gen
 	}
-	flightKey := fmt.Sprintf("%s/g%d", req.runKeyFor(ref.key), gen)
+	flightKey := fmt.Sprintf("%s/g%d", sp.runKey, gen)
 	out, err, shared := s.runs.Do(r.Context(), flightKey, func(ctx context.Context) (*runOutcome, error) {
-		return s.execute(ctx, req, ref)
+		return s.execute(ctx, sp)
 	})
 	if shared {
 		s.met.coalesced.Add(1)
 		tn.coalesced.Add(1)
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			// The client is gone; the status code is for bookkeeping only.
+		if cancelled(err) {
 			s.met.cancelled.Add(1)
-			w.WriteHeader(statusClientClosedRequest)
-		case errors.Is(err, errBadSpec):
+		} else {
 			s.met.failed.Add(1)
 			tn.failed.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		default:
-			s.met.failed.Add(1)
-			tn.failed.Add(1)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
+		writeError(w, err)
 		return
 	}
 
@@ -502,7 +534,8 @@ func (s *Server) queueBackoffHint(tn *tenant) time.Duration {
 
 // MutateRequest is the /mutate request body: the preparation spec selecting
 // which cached artifact to mutate (the same fields that form a /run request's
-// prep key) plus the hyperedge batch to apply.
+// prep key, resolved the same way, so omitting a default and spelling it out
+// select the same artifact) plus the hyperedge batch to apply.
 type MutateRequest struct {
 	Dataset     string  `json:"dataset"`
 	Scale       float64 `json:"scale,omitempty"`
@@ -515,15 +548,6 @@ type MutateRequest struct {
 	// ids (in the current version's id space) to delete.
 	Add    [][]uint32 `json:"add,omitempty"`
 	Remove []uint32   `json:"remove,omitempty"`
-}
-
-// asRun projects the mutation's spec fields onto a RunRequest so prep-key
-// derivation and artifact building share one code path with /run.
-func (m MutateRequest) asRun() RunRequest {
-	return RunRequest{
-		Dataset: m.Dataset, Scale: m.Scale, Cores: m.Cores, WMin: m.WMin,
-		Shards: m.Shards, ShardPolicy: m.ShardPolicy,
-	}
 }
 
 // MutateResponse is the /mutate response body.
@@ -554,19 +578,15 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	spec := req.asRun()
-	if req.Dataset == "" {
-		s.met.mutationsFailed.Add(1)
-		http.Error(w, "dataset is required", http.StatusBadRequest)
-		return
-	}
 	tenantName, err := tenantFrom(r)
 	if err != nil {
 		s.met.mutationsFailed.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ref, err := s.resolveDataset(tenantName, req.Dataset)
+	sp, err := s.resolvePrep(tenantName, req.Dataset, req.Scale, chgraph.RunConfig{
+		Cores: req.Cores, WMin: req.WMin, Shards: req.Shards, ShardPolicy: req.ShardPolicy,
+	})
 	if err != nil {
 		s.met.mutationsFailed.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -608,20 +628,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
 
-	key := spec.prepKeyFor(ref.key)
-	art, ok := s.cache.Peek(key)
+	art, ok := s.cache.Peek(sp.prepKey)
 	if !ok {
-		cfg, err := config(spec)
-		if err != nil {
+		if art, _, err = s.prep(r.Context(), sp); err != nil {
 			s.met.mutationsFailed.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if art, _, err = s.prep(r.Context(), key, func(bctx context.Context) (*artifact, error) {
-			return s.buildArtifact(bctx, spec, ref, cfg)
-		}); err != nil {
-			s.met.mutationsFailed.Add(1)
-			writeError(w, classify(err))
+			writeError(w, err)
 			return
 		}
 	}
@@ -629,7 +640,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	ng, npre, err := art.pre.Apply(r.Context(), chgraph.Batch{Add: req.Add, Remove: req.Remove})
 	if err != nil {
 		s.met.mutationsFailed.Add(1)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if cancelled(err) {
 			s.met.cancelled.Add(1)
 			w.WriteHeader(statusClientClosedRequest)
 			return
@@ -639,7 +650,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.cache.Put(key, &artifact{g: ng, pre: npre, gen: npre.Generation()})
+	s.cache.Put(sp.prepKey, &artifact{g: ng, pre: npre, gen: npre.Generation()})
 	s.met.mutations.Add(1)
 	s.met.hyperedgesAdded.Add(uint64(len(req.Add)))
 	s.met.hyperedgesRemoved.Add(uint64(len(req.Remove)))
@@ -655,35 +666,22 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeError maps a classified error to its HTTP status.
+// cancelled reports whether err ends a request whose client is gone.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// writeError maps a post-admission error to its HTTP status: 499 when the
+// client is gone (for bookkeeping only), 400 for errBadSpec, else 500.
 func writeError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case cancelled(err):
 		w.WriteHeader(statusClientClosedRequest)
 	case errors.Is(err, errBadSpec):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// validate pre-checks the parts of a spec that are cheap to check before
-// admission; dataset existence is the tenant-aware resolveDataset's job,
-// and everything else (algorithm names, shard bounds) surfaces from the
-// run itself and is classified by execute.
-func validate(req *RunRequest) error {
-	if req.Dataset == "" {
-		return errors.New("dataset is required")
-	}
-	if req.Algorithm == "" {
-		return errors.New("algorithm is required")
-	}
-	if req.Engine != "" {
-		if _, err := chgraph.ParseEngine(req.Engine); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // datasetSide resolves a dataset name to (canonical name, isGraph).
@@ -701,28 +699,11 @@ func datasetSide(name string) (string, bool, error) {
 	return "", false, fmt.Errorf("unknown dataset %q (have %v + %v)", name, chgraph.Datasets(), chgraph.GraphDatasets())
 }
 
-// config maps a request to the RunConfig its run executes under.
-func config(req RunRequest) (chgraph.RunConfig, error) {
-	cfg := chgraph.RunConfig{
-		Cores: req.Cores, WMin: req.WMin, DMax: req.DMax,
-		Iterations: req.Iterations, Source: req.Source, Workers: req.Workers,
-		Shards: req.Shards, ShardPolicy: req.ShardPolicy,
-	}
-	if req.Engine != "" {
-		kind, err := chgraph.ParseEngine(req.Engine)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Engine = kind
-	}
-	return cfg, nil
-}
-
 // execute is the leader path of one coalesced run: acquire a worker slot,
 // resolve the prepared artifacts through the LRU, and execute under the
 // shared call context (cancelled only when every interested client is
 // gone).
-func (s *Server) execute(ctx context.Context, req RunRequest, ref dsRef) (*runOutcome, error) {
+func (s *Server) execute(ctx context.Context, sp spec) (*runOutcome, error) {
 	select {
 	case s.workers <- struct{}{}:
 		defer func() { <-s.workers }()
@@ -730,25 +711,19 @@ func (s *Server) execute(ctx context.Context, req RunRequest, ref dsRef) (*runOu
 		return nil, ctx.Err()
 	}
 
-	cfg, err := config(req)
+	art, hit, err := s.prep(ctx, sp)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadSpec, err)
-	}
-	art, hit, err := s.prep(ctx, req.prepKeyFor(ref.key), func(bctx context.Context) (*artifact, error) {
-		return s.buildArtifact(bctx, req, ref, cfg)
-	})
-	if err != nil {
-		return nil, classify(err)
+		return nil, err
 	}
 
-	runCfg := cfg
+	runCfg := sp.cfg
 	runCfg.Prepared = art.pre
 	if s.opt.Session != nil {
-		runCfg.Observer = obs.TagGeneration(s.opt.Session.Observe(req.runKeyFor(ref.key)), art.gen)
+		runCfg.Observer = obs.TagGeneration(s.opt.Session.Observe(sp.runKey), art.gen)
 	}
-	res, err := chgraph.RunContext(ctx, art.g, req.Algorithm, runCfg)
+	res, err := chgraph.RunContext(ctx, art.g, sp.algorithm, runCfg)
 	if err != nil {
-		return nil, classify(err)
+		return nil, err
 	}
 	return &runOutcome{
 		resp: RunResponse{
@@ -787,11 +762,13 @@ type artifact struct {
 // generations — the next build of that spec starts over at generation 0.
 func (a *artifact) mutated() bool { return a.gen > 0 }
 
-// prep resolves key's artifact through the cache, building it on a miss,
+// prep resolves sp's artifact through the cache, building it on a miss,
 // and counts the lookup: a hit, the one miss that ran the build, or a
 // coalesced waiter that joined it. hit is true only for the first.
-func (s *Server) prep(ctx context.Context, key string, build func(context.Context) (*artifact, error)) (art *artifact, hit bool, err error) {
-	art, out, err := s.cache.Get(ctx, key, build)
+func (s *Server) prep(ctx context.Context, sp spec) (art *artifact, hit bool, err error) {
+	art, out, err := s.cache.Get(ctx, sp.prepKey, func(bctx context.Context) (*artifact, error) {
+		return s.buildArtifact(bctx, sp)
+	})
 	switch out {
 	case flight.Hit:
 		s.met.cacheHits.Add(1)
@@ -809,15 +786,16 @@ func (s *Server) prep(ctx context.Context, key string, build func(context.Contex
 // if the upload is replaced or deleted mid-build, this build still completes
 // against the contents the request resolved, under a key no future request
 // will look up.
-func (s *Server) buildArtifact(ctx context.Context, req RunRequest, ref dsRef, cfg chgraph.RunConfig) (*artifact, error) {
+func (s *Server) buildArtifact(ctx context.Context, sp spec) (*artifact, error) {
 	s.met.cacheBuilds.Add(1)
+	ref := sp.ref
 	g := ref.g
 	if g == nil {
 		var err error
 		if ref.isGraph {
-			g, err = chgraph.LoadGraphDataset(ref.name, req.Scale)
+			g, err = chgraph.LoadGraphDataset(ref.name, ref.scale)
 		} else {
-			g, err = chgraph.LoadDataset(ref.name, req.Scale)
+			g, err = chgraph.LoadDataset(ref.name, ref.scale)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadSpec, err)
@@ -826,25 +804,11 @@ func (s *Server) buildArtifact(ctx context.Context, req RunRequest, ref dsRef, c
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pre, err := chgraph.Prepare(ctx, g, cfg)
+	pre, err := chgraph.Prepare(ctx, g, sp.cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &artifact{g: g, pre: pre}, nil
-}
-
-// classify sorts run/build errors into client vs server classes: anything
-// naming an unknown entity or invalid parameter is the requester's fault.
-func classify(err error) error {
-	if err == nil || errors.Is(err, errBadSpec) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	msg := err.Error()
-	if strings.Contains(msg, "unknown") || strings.Contains(msg, "invalid") {
-		return fmt.Errorf("%w: %v", errBadSpec, err)
-	}
-	return err
 }
 
 // checksum digests the final value arrays (little-endian float64 bits,

@@ -385,6 +385,8 @@ func TestServeValidationAndMetrics(t *testing.T) {
 		{"unknown engine", `{"dataset":"OK","algorithm":"PR","engine":"warp"}`, http.StatusBadRequest},
 		{"unknown algorithm", `{"dataset":"OK","scale":0.02,"algorithm":"Dijkstra"}`, http.StatusBadRequest},
 		{"bad shard policy", `{"dataset":"OK","scale":0.02,"algorithm":"PR","shards":2,"shard_policy":"hashish"}`, http.StatusBadRequest},
+		{"too many shards", `{"dataset":"OK","scale":0.02,"algorithm":"PR","shards":100}`, http.StatusBadRequest},
+		{"unknown algorithm on a valid prep spec", `{"dataset":"OK","scale":0.02,"algorithm":"nope"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != tc.want {
@@ -420,6 +422,11 @@ func TestServeValidationAndMetrics(t *testing.T) {
 	if snap.Completed != 1 || snap.QueueCapacity == 0 || len(snap.Latency) != numLatencyBuckets {
 		t.Fatalf("metrics snapshot off: %+v", snap)
 	}
+	// Bad specs are refused before admission: only the one valid run built
+	// an artifact, and none of them counted as a failed run.
+	if snap.CacheBuilds != 1 || snap.Failed != 0 {
+		t.Fatalf("cache_builds %d, failed %d after one valid run and %d bad specs, want 1 and 0", snap.CacheBuilds, snap.Failed, len(cases))
+	}
 	var total uint64
 	for _, b := range snap.Latency {
 		total += b.Count
@@ -429,31 +436,66 @@ func TestServeValidationAndMetrics(t *testing.T) {
 	}
 }
 
+// TestRunKeyExcludesHostKnobs: the coalescing and artifact keys come from
+// the resolved spec, so spellings of one run share them, host-side knobs
+// never enter them, and every result-shaping field still changes them (only
+// the preparation fields change the prep key).
 func TestRunKeyExcludesHostKnobs(t *testing.T) {
-	a := RunRequest{Dataset: "OK", Algorithm: "PR", Engine: "chgraph", Workers: 1, IncludeValues: true}
-	b := a
-	b.Workers, b.IncludeValues = 8, false
-	if a.runKey() != b.runKey() {
-		t.Fatalf("workers/include_values leaked into the run key:\n%s\n%s", a.runKey(), b.runKey())
+	srv := NewServer(Options{})
+	pr := RunRequest{Dataset: "OK", Algorithm: "PR", Engine: "chgraph", Workers: 1, IncludeValues: true}
+	bfs := RunRequest{Dataset: "OK", Algorithm: "BFS", Source: 3}
+	cc := RunRequest{Dataset: "OK", Algorithm: "CC"}
+	sharded := RunRequest{Dataset: "OK", Algorithm: "CC", Shards: 2}
+	with := func(r RunRequest, mut func(*RunRequest)) RunRequest { mut(&r); return r }
+	cases := []struct {
+		name              string
+		a, b              RunRequest
+		sameRun, samePrep bool
+	}{
+		{"workers/include_values", pr, with(pr, func(r *RunRequest) { r.Workers, r.IncludeValues = 8, false }), true, true},
+		{"engine \"\" vs hygra", cc, with(cc, func(r *RunRequest) { r.Engine = "hygra" }), true, true},
+		{"engine hygra vs Hygra", with(cc, func(r *RunRequest) { r.Engine = "hygra" }), with(cc, func(r *RunRequest) { r.Engine = "Hygra" }), true, true},
+		{"cores 0 vs 16", pr, with(pr, func(r *RunRequest) { r.Cores = 16 }), true, true},
+		{"wmin 0 vs 3", pr, with(pr, func(r *RunRequest) { r.WMin = 3 }), true, true},
+		{"dmax 0 vs 16", pr, with(pr, func(r *RunRequest) { r.DMax = 16 }), true, true},
+		{"shards 0 vs 1", pr, with(pr, func(r *RunRequest) { r.Shards = 1 }), true, true},
+		{"policy unsharded", pr, with(pr, func(r *RunRequest) { r.Shards, r.ShardPolicy = 1, "greedy" }), true, true},
+		{"policy \"\" vs range", sharded, with(sharded, func(r *RunRequest) { r.ShardPolicy = "range" }), true, true},
+		{"PR iterations 0 vs 10", pr, with(pr, func(r *RunRequest) { r.Iterations = 10 }), true, true},
+		{"iterations on CC", cc, with(cc, func(r *RunRequest) { r.Iterations = 7 }), true, true},
+		{"iterations on BFS", bfs, with(bfs, func(r *RunRequest) { r.Iterations = 7 }), true, true},
+		{"source on PR", pr, with(pr, func(r *RunRequest) { r.Source = 5 }), true, true},
+		{"source on CC", cc, with(cc, func(r *RunRequest) { r.Source = 5 }), true, true},
+		{"dataset case", pr, with(pr, func(r *RunRequest) { r.Dataset = "ok" }), true, true},
+		{"scale -1 vs 0", pr, with(pr, func(r *RunRequest) { r.Scale = -1 }), true, true},
+
+		{"iterations", pr, with(pr, func(r *RunRequest) { r.Iterations = 7 }), false, true},
+		{"engine", pr, with(pr, func(r *RunRequest) { r.Engine = "gla" }), false, true},
+		{"dmax", pr, with(pr, func(r *RunRequest) { r.DMax = 8 }), false, true},
+		{"algorithm", pr, with(pr, func(r *RunRequest) { r.Algorithm = "CC" }), false, true},
+		{"source on BFS", bfs, with(bfs, func(r *RunRequest) { r.Source = 4 }), false, true},
+		{"cores", pr, with(pr, func(r *RunRequest) { r.Cores = 8 }), false, false},
+		{"wmin", pr, with(pr, func(r *RunRequest) { r.WMin = 4 }), false, false},
+		{"shards", pr, with(pr, func(r *RunRequest) { r.Shards = 2 }), false, false},
+		{"policy", sharded, with(sharded, func(r *RunRequest) { r.ShardPolicy = "greedy" }), false, false},
+		{"scale", pr, with(pr, func(r *RunRequest) { r.Scale = 0.5 }), false, false},
+		{"dataset", pr, with(pr, func(r *RunRequest) { r.Dataset = "WEB" }), false, false},
 	}
-	c := a
-	c.Iterations = 7
-	if a.runKey() == c.runKey() {
-		t.Fatalf("iterations missing from the run key")
-	}
-	d := a
-	d.Engine = "gla"
-	if a.runKey() == d.runKey() {
-		t.Fatalf("engine missing from the run key")
-	}
-	// The prep key additionally ignores engine, algorithm and iterations.
-	if a.prepKey() != d.prepKey() || a.prepKey() != c.prepKey() {
-		t.Fatalf("prep key varies with engine/iterations:\n%s\n%s\n%s", a.prepKey(), c.prepKey(), d.prepKey())
-	}
-	e := a
-	e.Cores = 8
-	if a.prepKey() == e.prepKey() {
-		t.Fatalf("cores missing from the prep key")
+	for _, c := range cases {
+		a, err := srv.resolveRun("default", c.a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := srv.resolveRun("default", c.b)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if (a.runKey == b.runKey) != c.sameRun {
+			t.Errorf("%s: run keys equal=%v, want %v:\n%s\n%s", c.name, a.runKey == b.runKey, c.sameRun, a.runKey, b.runKey)
+		}
+		if (a.prepKey == b.prepKey) != c.samePrep {
+			t.Errorf("%s: prep keys equal=%v, want %v:\n%s\n%s", c.name, a.prepKey == b.prepKey, c.samePrep, a.prepKey, b.prepKey)
+		}
 	}
 }
 

@@ -246,3 +246,35 @@ func TestPreparedCapFactorMismatch(t *testing.T) {
 		t.Fatalf("default-cap run with Prepared: %v", err)
 	}
 }
+
+// TestOptionsResolve pins the partition defaults every sharded entry point
+// shares, and that an impossible partition fails before any work starts.
+func TestOptionsResolve(t *testing.T) {
+	got, err := Options{}.Resolve()
+	if err != nil || got.Shards != 1 || got.Policy != PolicyRange || got.CapFactor != 0 || got.Engine.Sys.Cores == 0 {
+		t.Fatalf("zero Options resolved to %+v, %v", got, err)
+	}
+	for _, c := range []struct {
+		pol  Policy
+		cap  float64
+		want float64
+	}{
+		{PolicyGreedy, 1.4, 1.4}, {PolicyGreedy, -1, 0}, {PolicyRange, 1.4, 0},
+	} {
+		if got, err := (Options{Shards: 2, Policy: c.pol, CapFactor: c.cap}).Resolve(); err != nil || got.CapFactor != c.want {
+			t.Errorf("%s cap %v resolved to %v (%v), want %v", c.pol, c.cap, got.CapFactor, err, c.want)
+		}
+	}
+	g := smallHG(3)
+	for _, o := range []Options{{Shards: MaxShards + 1}, {Shards: 2, Policy: "modulo"}} {
+		if _, err := o.Resolve(); err == nil {
+			t.Errorf("%+v resolved without error", o)
+		}
+		if _, err := Prepare(context.Background(), g, o); err == nil {
+			t.Errorf("Prepare(%+v) succeeded", o)
+		}
+		if _, err := Run(g, algorithms.NewCC(), o); err == nil {
+			t.Errorf("Run(%+v) succeeded", o)
+		}
+	}
+}

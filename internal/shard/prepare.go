@@ -39,19 +39,15 @@ func Prepare(ctx context.Context, g *hypergraph.Bipartite, opt Options) (*Prepar
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	k := opt.Shards
-	if k <= 0 {
-		k = 1
+	opt, err := opt.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	pol := opt.Policy
-	if pol == "" {
-		pol = PolicyRange
-	}
-	eo := opt.Engine.WithDefaults()
+	k, eo := opt.Shards, opt.Engine
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	a, err := Partition(g, k, pol, opt.CapFactor)
+	a, err := Partition(g, k, opt.Policy, opt.CapFactor)
 	if err != nil {
 		return nil, err
 	}
@@ -70,35 +66,26 @@ func Prepare(ctx context.Context, g *hypergraph.Bipartite, opt Options) (*Prepar
 	}
 	return &Prepared{
 		P: p, Preps: preps,
-		Cores: eo.Sys.Cores, WMin: eo.WMin, CapFactor: normCap(opt.CapFactor),
+		Cores: eo.Sys.Cores, WMin: eo.WMin, CapFactor: opt.CapFactor,
 	}, nil
 }
 
-// normCap canonicalizes the greedy cap factor so "default" spellings (zero
-// and negative) compare equal between Prepare and RunCtx.
-func normCap(c float64) float64 {
-	if c <= 0 {
-		return 0
-	}
-	return c
-}
-
 // validatePre checks that pre was built for exactly the partition and engine
-// configuration a run is about to use.
-func validatePre(pre *Prepared, k int, pol Policy, capFactor float64, eo engine.Options) error {
-	a := pre.P.Assign
-	if a.K != k || a.Policy != pol {
-		return fmt.Errorf("shard: Pre built for K=%d/%s, run wants K=%d/%s", a.K, a.Policy, k, pol)
+// configuration a run is about to use; opt is resolved.
+func validatePre(pre *Prepared, opt Options) error {
+	a, eo := pre.P.Assign, opt.Engine
+	if a.K != opt.Shards || a.Policy != opt.Policy {
+		return fmt.Errorf("shard: Pre built for K=%d/%s, run wants K=%d/%s", a.K, a.Policy, opt.Shards, opt.Policy)
 	}
-	if pol == PolicyGreedy && pre.CapFactor != normCap(capFactor) {
-		return fmt.Errorf("shard: Pre built with cap factor %v, run wants %v", pre.CapFactor, normCap(capFactor))
+	if pre.CapFactor != opt.CapFactor {
+		return fmt.Errorf("shard: Pre built with cap factor %v, run wants %v", pre.CapFactor, opt.CapFactor)
 	}
 	if pre.Cores != eo.Sys.Cores || pre.WMin != eo.WMin {
 		return fmt.Errorf("shard: Pre built for cores=%d/wMin=%d, run wants cores=%d/wMin=%d",
 			pre.Cores, pre.WMin, eo.Sys.Cores, eo.WMin)
 	}
-	if len(pre.Preps) != k {
-		return fmt.Errorf("shard: Pre has %d per-shard preps for K=%d", len(pre.Preps), k)
+	if len(pre.Preps) != opt.Shards {
+		return fmt.Errorf("shard: Pre has %d per-shard preps for K=%d", len(pre.Preps), opt.Shards)
 	}
 	return nil
 }

@@ -30,6 +30,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"chgraph/internal/algorithms"
@@ -62,6 +63,35 @@ type Options struct {
 	// built for the same K, policy, cap factor, core count and W_min; a
 	// mismatch is an error, never a silent misconfiguration.
 	Pre *Prepared
+}
+
+// Resolve returns opt with every default applied — Shards 0 (or below) is
+// 1, Policy "" is PolicyRange, CapFactor is 0 unless the greedy policy sets a
+// positive one (0 meaning DefaultCapFactor), and Engine is resolved by
+// engine.Options.WithDefaults — or an error when no partition can satisfy
+// it: more than MaxShards shards or an unknown policy. Every sharded entry
+// point (RunCtx, Prepare, the distributed coordinator) resolves through it,
+// so artifacts built by one are accepted by the others.
+func (opt Options) Resolve() (Options, error) {
+	if opt.Shards <= 0 {
+		opt.Shards = 1
+	}
+	if opt.Shards > MaxShards {
+		return opt, fmt.Errorf("shard: %d shards exceeds the maximum of %d", opt.Shards, MaxShards)
+	}
+	if opt.Policy == "" {
+		opt.Policy = PolicyRange
+	}
+	pol, err := ParsePolicy(string(opt.Policy))
+	if err != nil {
+		return opt, err
+	}
+	opt.Policy = pol
+	if pol != PolicyGreedy || opt.CapFactor <= 0 {
+		opt.CapFactor = 0
+	}
+	opt.Engine = opt.Engine.WithDefaults()
+	return opt, nil
 }
 
 // Result is a sharded run's merged outcome: the embedded engine.Result
@@ -121,28 +151,20 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	k := opt.Shards
-	if k <= 0 {
-		k = 1
+	opt, err := opt.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	pol := opt.Policy
-	if pol == "" {
-		pol = PolicyRange
-	}
-	workers := opt.Engine.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	var a *Assignment
+	k, workers := opt.Shards, opt.Engine.Workers
 	var p *Partitioned
 	if opt.Pre != nil {
-		if err := validatePre(opt.Pre, k, pol, opt.CapFactor, opt.Engine.WithDefaults()); err != nil {
+		if err := validatePre(opt.Pre, opt); err != nil {
 			return nil, err
 		}
-		a, p = opt.Pre.P.Assign, opt.Pre.P
+		p = opt.Pre.P
 	} else {
-		var err error
-		if a, err = Partition(g, k, pol, opt.CapFactor); err != nil {
+		a, err := Partition(g, k, opt.Policy, opt.CapFactor)
+		if err != nil {
 			return nil, err
 		}
 		if p, err = Materialize(g, a, workers); err != nil {
